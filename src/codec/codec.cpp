@@ -68,22 +68,22 @@ std::uint64_t get_u64(const std::byte* src) {
   return v;
 }
 
-/// Wrap raw bytes in the self-describing container: the payload round-trips
-/// byte-exactly while the modeled CompressResult travels alongside it.
-std::vector<std::byte> wrap(std::span<const std::byte> raw,
-                            const CompressResult& r) {
-  std::vector<std::byte> blob(kHeaderBytes + raw.size());
+/// The one container header writer: stamps the magic and the modeled
+/// CompressResult over the first kHeaderBytes of `blob`; the payload behind
+/// them round-trips byte-exactly.
+void write_header(std::span<std::byte> blob, const CompressResult& r) {
+  AMRIO_EXPECTS(blob.size() >= kHeaderBytes);
   std::memcpy(blob.data(), kMagic, sizeof(kMagic));
   put_u64(blob.data() + 8, r.raw_bytes);
   put_u64(blob.data() + 16, r.out_bytes);
   put_u64(blob.data() + 24,
           static_cast<std::uint64_t>(std::llround(r.cpu_seconds * 1e9)));
-  std::copy(raw.begin(), raw.end(), blob.begin() + kHeaderBytes);
-  return blob;
 }
 
-CompressResult unwrap_header(std::span<const std::byte> blob,
-                             const std::string& codec_name) {
+/// The one container header reader: validates the magic and the payload
+/// size against the header.
+CompressResult read_header(std::span<const std::byte> blob,
+                           const std::string& codec_name) {
   if (blob.size() < kHeaderBytes ||
       std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0)
     throw std::runtime_error("codec '" + codec_name +
@@ -96,6 +96,16 @@ CompressResult unwrap_header(std::span<const std::byte> blob,
     throw std::runtime_error("codec '" + codec_name +
                              "': container payload size mismatch");
   return r;
+}
+
+/// `raw` copied behind `header` bytes of headroom — the buffer shape
+/// `Codec::seal` encodes in place.
+std::vector<std::byte> with_headroom(std::size_t header,
+                                     std::span<const std::byte> raw) {
+  std::vector<std::byte> blob(header + raw.size());
+  std::copy(raw.begin(), raw.end(),
+            blob.begin() + static_cast<std::ptrdiff_t>(header));
+  return blob;
 }
 
 double cpu_cost(std::uint64_t raw_bytes, double throughput) {
@@ -133,17 +143,17 @@ class IdentityCodec final : public Codec {
   CompressResult plan(std::uint64_t raw_bytes) const override {
     return CompressResult{raw_bytes, raw_bytes, 0.0};
   }
-  std::vector<std::byte> encode(std::span<const std::byte> raw,
-                                CompressResult* result) const override {
-    if (result != nullptr) *result = plan(raw.size());
-    return std::vector<std::byte>(raw.begin(), raw.end());
+  std::size_t header_bytes() const override { return 0; }
+  CompressResult seal(std::span<std::byte> blob) const override {
+    return plan(blob.size());
+  }
+  std::span<const std::byte> payload(
+      std::span<const std::byte> blob) const override {
+    return blob;
   }
   std::vector<std::byte> encode_as(std::span<const std::byte> raw,
                                    const CompressResult&) const override {
     return std::vector<std::byte>(raw.begin(), raw.end());
-  }
-  std::vector<std::byte> decode(std::span<const std::byte> blob) const override {
-    return std::vector<std::byte>(blob.begin(), blob.end());
   }
   CompressResult peek(std::span<const std::byte> blob) const override {
     return plan(blob.size());
@@ -329,26 +339,44 @@ class MultiVarEblCodec final : public Codec {
 
 // --------------------------------------------------- base encode/decode
 
+std::size_t Codec::header_bytes() const { return kHeaderBytes; }
+
+CompressResult Codec::seal(std::span<std::byte> blob) const {
+  AMRIO_EXPECTS(blob.size() >= kHeaderBytes);
+  const CompressResult r = plan(blob.size() - kHeaderBytes);
+  write_header(blob, r);
+  return r;
+}
+
+std::span<const std::byte> Codec::payload(
+    std::span<const std::byte> blob) const {
+  (void)read_header(blob, name());
+  return blob.subspan(kHeaderBytes);
+}
+
 std::vector<std::byte> Codec::encode(std::span<const std::byte> raw,
                                      CompressResult* result) const {
-  const CompressResult r = plan(raw.size());
+  std::vector<std::byte> blob = with_headroom(header_bytes(), raw);
+  const CompressResult r = seal(blob);
   if (result != nullptr) *result = r;
-  return wrap(raw, r);
+  return blob;
 }
 
 std::vector<std::byte> Codec::encode_as(std::span<const std::byte> raw,
                                         const CompressResult& result) const {
   AMRIO_EXPECTS(result.raw_bytes == raw.size());
-  return wrap(raw, result);
+  std::vector<std::byte> blob = with_headroom(kHeaderBytes, raw);
+  write_header(blob, result);
+  return blob;
 }
 
 std::vector<std::byte> Codec::decode(std::span<const std::byte> blob) const {
-  (void)unwrap_header(blob, name());
-  return std::vector<std::byte>(blob.begin() + kHeaderBytes, blob.end());
+  const std::span<const std::byte> body = payload(blob);
+  return std::vector<std::byte>(body.begin(), body.end());
 }
 
 CompressResult Codec::peek(std::span<const std::byte> blob) const {
-  return unwrap_header(blob, name());
+  return read_header(blob, name());
 }
 
 // -------------------------------------------------------------- registry

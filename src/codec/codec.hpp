@@ -31,7 +31,10 @@
 /// self-describing container carrying the modeled result, so shipped/staged
 /// data round-trips byte-exactly while every accounting point uses the
 /// modeled `CompressResult::out_bytes` — a simulator compresses sizes and
-/// clocks, not information.
+/// clocks, not information. The zero-copy forms (`seal`/`payload`) work on
+/// a buffer in place: a writer serializes behind `header_bytes()` of
+/// headroom and seals the header over it, a reader views the payload inside
+/// the blob. `encode`/`decode` are the copying conveniences built on them.
 
 #include <cstdint>
 #include <memory>
@@ -112,21 +115,38 @@ class Codec {
     return 0.0;
   }
 
-  /// Encode a chunk for the wire/tier. The returned blob decodes byte-exactly
-  /// via `decode`; its accounted size is `result.out_bytes` (the model), not
-  /// `blob.size()`. Identity returns the raw bytes unchanged; modeling codecs
-  /// wrap them in a 32-byte container carrying the CompressResult.
-  virtual std::vector<std::byte> encode(std::span<const std::byte> raw,
-                                        CompressResult* result = nullptr) const;
+  /// Container header size: the headroom a writer leaves in front of the
+  /// raw payload so `seal` can encode in place. 32 for the modeling codecs,
+  /// 0 for identity (its blob is the raw payload).
+  virtual std::size_t header_bytes() const;
+  /// Encode in place: `blob` holds `header_bytes()` of headroom followed by
+  /// the raw payload; the container header (carrying `plan(payload size)`) is
+  /// written over the headroom and the result returned. The sealed blob is
+  /// byte-identical to what `encode` returns for the same payload.
+  virtual CompressResult seal(std::span<std::byte> blob) const;
+  /// Validated view of the raw payload inside an encoded blob — `decode`
+  /// without the copy. Throws std::runtime_error on a blob this codec did
+  /// not produce or whose header disagrees with its payload size. Identity
+  /// returns the blob itself.
+  virtual std::span<const std::byte> payload(
+      std::span<const std::byte> blob) const;
+
+  /// Encode a chunk for the wire/tier: a copy of `raw` behind fresh headroom,
+  /// sealed. The returned blob decodes byte-exactly via `decode`; its
+  /// accounted size is `result.out_bytes` (the model), not `blob.size()`.
+  /// Identity returns the raw bytes unchanged; modeling codecs wrap them in a
+  /// 32-byte container carrying the CompressResult.
+  std::vector<std::byte> encode(std::span<const std::byte> raw,
+                                CompressResult* result = nullptr) const;
   /// Encode with a caller-computed result (content-aware callers: the
   /// plotfile hook measures FAB smoothness before shipping) — the container
   /// carries `result` verbatim so `peek` at the receiver sees the same model.
   /// Identity ignores the result and stays a passthrough.
   virtual std::vector<std::byte> encode_as(std::span<const std::byte> raw,
                                            const CompressResult& result) const;
-  /// Inverse of `encode` — byte-exact. Throws std::runtime_error on a blob
-  /// this codec did not produce.
-  virtual std::vector<std::byte> decode(std::span<const std::byte> blob) const;
+  /// Inverse of `encode` — byte-exact: a copy of `payload(blob)`. Throws
+  /// std::runtime_error on a blob this codec did not produce.
+  std::vector<std::byte> decode(std::span<const std::byte> blob) const;
   /// The CompressResult embedded in an encoded blob (what the encoder
   /// modeled), without copying the payload. Identity plans the blob itself.
   virtual CompressResult peek(std::span<const std::byte> blob) const;

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "exec/fiber_sanitizer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/selfprof.hpp"
 #include "util/assert.hpp"
@@ -83,6 +84,7 @@ struct SerialState {
     std::size_t stack_size = 0;
     FiberState state = FiberState::kReady;
     std::tuple<int, int, int> wait_key{};  // (src, dst, tag) for kWaitToken/Bytes
+    void* asan_fake = nullptr;  ///< ASan fake-stack handle across suspensions
   };
 
   int n;
@@ -90,6 +92,10 @@ struct SerialState {
   ucontext_t main_ctx{};
   std::vector<Fiber> fibers;
   int current = -1;
+  /// Scheduler stack bounds, recorded on first fiber entry so yields and
+  /// fiber exits can announce the switch back (ASan annotation only).
+  const void* sched_stack_bottom = nullptr;
+  std::size_t sched_stack_size = 0;
 
   // collective staging (inputs, written at arrive) and results (snapshotted
   // by the releasing rank).
@@ -185,9 +191,9 @@ class FiberCtx final : public RankCtx {
     return v;
   }
 
-  void send_bytes(std::span<const std::byte> data, int dest, int tag) override {
+  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
     AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
-    st_->byte_mail[{rank_, dest, tag}].emplace_back(data.begin(), data.end());
+    st_->byte_mail[{rank_, dest, tag}].push_back(std::move(data));
   }
 
   std::vector<std::byte> recv_bytes(int src, int tag) override {
@@ -233,8 +239,11 @@ class FiberCtx final : public RankCtx {
   }
 
   void yield() {
-    swapcontext(&st_->fibers[static_cast<std::size_t>(rank_)].ctx,
-                &st_->main_ctx);
+    auto& f = st_->fibers[static_cast<std::size_t>(rank_)];
+    AMRIO_FIBER_START_SWITCH(&f.asan_fake, st_->sched_stack_bottom,
+                             st_->sched_stack_size);
+    swapcontext(&f.ctx, &st_->main_ctx);
+    AMRIO_FIBER_FINISH_SWITCH(f.asan_fake, nullptr, nullptr);
   }
 
   void check_abort() const {
@@ -249,16 +258,23 @@ class FiberCtx final : public RankCtx {
 void fiber_trampoline(unsigned int hi, unsigned int lo) {
   auto* st = reinterpret_cast<SerialState*>(
       (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
+  AMRIO_FIBER_FINISH_SWITCH(nullptr, &st->sched_stack_bottom,
+                            &st->sched_stack_size);
   const int rank = st->current;
-  FiberCtx ctx(st, rank);
-  try {
-    (*st->fn)(ctx);
-  } catch (...) {
-    if (!st->first_error) st->first_error = std::current_exception();
-    st->aborted = true;
+  {
+    FiberCtx ctx(st, rank);
+    try {
+      (*st->fn)(ctx);
+    } catch (...) {
+      if (!st->first_error) st->first_error = std::current_exception();
+      st->aborted = true;
+    }
   }
   st->fibers[static_cast<std::size_t>(rank)].state =
       SerialState::FiberState::kDone;
+  // nullptr save: this fiber is done — release its ASan fake stack.
+  AMRIO_FIBER_START_SWITCH(nullptr, st->sched_stack_bottom,
+                           st->sched_stack_size);
   // returning resumes main_ctx via uc_link
 }
 
@@ -301,8 +317,11 @@ void fiber_trampoline(unsigned int hi, unsigned int lo) {
         f.state = SerialState::FiberState::kReady;  // resume to throw
       if (f.state != SerialState::FiberState::kReady) continue;
       st.current = r;
+      void* sched_fake = nullptr;
+      AMRIO_FIBER_START_SWITCH(&sched_fake, f.stack.get(), f.stack_size);
       if (swapcontext(&st.main_ctx, &f.ctx) != 0)
         throw std::runtime_error("SerialEngine: swapcontext failed");
+      AMRIO_FIBER_FINISH_SWITCH(sched_fake, nullptr, nullptr);
       progressed = true;
       if (f.state == SerialState::FiberState::kDone) ++ndone;
     }
@@ -345,7 +364,7 @@ class SingleCtx final : public RankCtx {
   std::uint64_t recv_token(int, int) override {
     throw std::runtime_error("SerialEngine: recv_token with one rank");
   }
-  void send_bytes(std::span<const std::byte>, int, int) override {
+  void send_bytes(std::vector<std::byte>, int, int) override {
     throw std::runtime_error("SerialEngine: send_bytes with one rank");
   }
   std::vector<std::byte> recv_bytes(int, int) override {
@@ -394,26 +413,36 @@ void SerialEngine::run(const RankFn& fn) {
   if (st.first_error) std::rethrow_exception(st.first_error);
 }
 
-std::vector<std::vector<std::byte>> gatherv_group(
-    RankCtx& ctx, std::span<const std::byte> mine, std::span<const int> members,
-    int root, int tag, obs::Probe probe) {
-  AMRIO_EXPECTS_MSG(!members.empty(), "gatherv_group: empty member list");
+namespace {
+
+/// Shared precondition of the group collectives: strictly ascending, in-range
+/// members that include both the caller and the root.
+void check_group(const RankCtx& ctx, std::span<const int> members, int root,
+                 const char* what) {
+  AMRIO_EXPECTS_MSG(!members.empty(), what << ": empty member list");
   bool in_group = false;
   bool root_in_group = false;
   for (std::size_t i = 0; i < members.size(); ++i) {
     AMRIO_EXPECTS_MSG(members[i] >= 0 && members[i] < ctx.nranks(),
-                      "gatherv_group: member rank out of range");
+                      what << ": member rank out of range");
     if (i > 0)
       AMRIO_EXPECTS_MSG(members[i] > members[i - 1],
-                        "gatherv_group: members must be strictly ascending");
+                        what << ": members must be strictly ascending");
     if (members[i] == ctx.rank()) in_group = true;
     if (members[i] == root) root_in_group = true;
   }
-  AMRIO_EXPECTS_MSG(in_group, "gatherv_group: calling rank not a member");
-  AMRIO_EXPECTS_MSG(root_in_group, "gatherv_group: root not a member");
+  AMRIO_EXPECTS_MSG(in_group, what << ": calling rank not a member");
+  AMRIO_EXPECTS_MSG(root_in_group, what << ": root not a member");
+}
 
+}  // namespace
+
+std::vector<std::vector<std::byte>> gatherv_group(
+    RankCtx& ctx, std::vector<std::byte> mine, std::span<const int> members,
+    int root, int tag, obs::Probe probe) {
+  check_group(ctx, members, root, "gatherv_group");
   if (ctx.rank() != root) {
-    ctx.send_bytes(mine, root, tag);
+    ctx.send_bytes(std::move(mine), root, tag);
     return {};
   }
   std::vector<std::vector<std::byte>> payloads;
@@ -422,7 +451,7 @@ std::vector<std::vector<std::byte>> gatherv_group(
   std::int64_t nmessages = 0;
   for (int member : members) {
     if (member == root) {
-      payloads.emplace_back(mine.begin(), mine.end());
+      payloads.push_back(std::move(mine));
     } else {
       payloads.push_back(ctx.recv_bytes(member, tag));
       shipped += payloads.back().size();
@@ -439,23 +468,9 @@ std::vector<std::vector<std::byte>> gatherv_group(
 }
 
 std::vector<std::byte> scatterv_group(
-    RankCtx& ctx, const std::vector<std::vector<std::byte>>& payloads,
+    RankCtx& ctx, std::vector<std::vector<std::byte>> payloads,
     std::span<const int> members, int root, int tag, obs::Probe probe) {
-  AMRIO_EXPECTS_MSG(!members.empty(), "scatterv_group: empty member list");
-  bool in_group = false;
-  bool root_in_group = false;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    AMRIO_EXPECTS_MSG(members[i] >= 0 && members[i] < ctx.nranks(),
-                      "scatterv_group: member rank out of range");
-    if (i > 0)
-      AMRIO_EXPECTS_MSG(members[i] > members[i - 1],
-                        "scatterv_group: members must be strictly ascending");
-    if (members[i] == ctx.rank()) in_group = true;
-    if (members[i] == root) root_in_group = true;
-  }
-  AMRIO_EXPECTS_MSG(in_group, "scatterv_group: calling rank not a member");
-  AMRIO_EXPECTS_MSG(root_in_group, "scatterv_group: root not a member");
-
+  check_group(ctx, members, root, "scatterv_group");
   if (ctx.rank() != root) return ctx.recv_bytes(root, tag);
   AMRIO_EXPECTS_MSG(payloads.size() == members.size(),
                     "scatterv_group: root needs one payload per member");
@@ -464,12 +479,12 @@ std::vector<std::byte> scatterv_group(
   std::int64_t nmessages = 0;
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (members[i] == root) {
-      mine = payloads[i];
-    } else {
-      ctx.send_bytes(payloads[i], members[i], tag);
-      shipped += payloads[i].size();
-      ++nmessages;
+      mine = std::move(payloads[i]);
+      continue;
     }
+    shipped += payloads[i].size();
+    ++nmessages;
+    ctx.send_bytes(std::move(payloads[i]), members[i], tag);
   }
   if (probe.metrics != nullptr) {
     probe.metrics->add("exec.scatterv.calls", 1);

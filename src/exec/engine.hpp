@@ -75,9 +75,12 @@ class RankCtx {
   /// Blocking tagged token receive.
   virtual std::uint64_t recv_token(int src, int tag) = 0;
   /// Tagged point-to-point byte payload (staging shipments to aggregators):
-  /// buffered send, message boundaries preserved.
-  virtual void send_bytes(std::span<const std::byte> data, int dest,
-                          int tag) = 0;
+  /// buffered send, message boundaries preserved. The buffer is handed over:
+  /// engines whose mailboxes live in process memory (serial fibers, the event
+  /// engine) move it into the mailbox, so the receiver gets the very
+  /// allocation the sender filled; the simmpi communicator copies it into its
+  /// own message storage. A caller that keeps its bytes passes a copy.
+  virtual void send_bytes(std::vector<std::byte> data, int dest, int tag) = 0;
   /// Blocking tagged byte-payload receive (one message).
   virtual std::vector<std::byte> recv_bytes(int src, int tag) = 0;
 };
@@ -92,8 +95,11 @@ class RankCtx {
 /// A non-empty `probe` counts the ship on the metrics registry
 /// (exec.gatherv.{calls,messages,bytes}, root side) — pure commutative
 /// counter adds, so the snapshot stays engine-invariant.
+/// `mine` is taken by value and handed over: members send it with the
+/// moving `send_bytes`, the root keeps it as its own payload, so a caller
+/// that moves its buffer in has it copied nowhere on the in-process engines.
 std::vector<std::vector<std::byte>> gatherv_group(
-    RankCtx& ctx, std::span<const std::byte> mine, std::span<const int> members,
+    RankCtx& ctx, std::vector<std::byte> mine, std::span<const int> members,
     int root, int tag, obs::Probe probe = {});
 
 /// Group scatterv — `gatherv_group` in reverse, the read-side ship: `root`
@@ -104,8 +110,10 @@ std::vector<std::vector<std::byte>> gatherv_group(
 /// groups can scatter concurrently. Byte-conserving: the concatenation of
 /// what the members receive equals the concatenation of what the root held.
 /// `probe` counts exec.scatterv.{calls,messages,bytes} on the root side.
+/// `payloads` is taken by value and moved out — outbound ones through the
+/// moving `send_bytes`, the root's own as the return value.
 std::vector<std::byte> scatterv_group(
-    RankCtx& ctx, const std::vector<std::vector<std::byte>>& payloads,
+    RankCtx& ctx, std::vector<std::vector<std::byte>> payloads,
     std::span<const int> members, int root, int tag, obs::Probe probe = {});
 
 using RankFn = std::function<void(RankCtx&)>;
@@ -230,8 +238,8 @@ class CommCtx final : public RankCtx {
   std::uint64_t recv_token(int src, int tag) override {
     return comm_->recv<std::uint64_t>(src, tag).at(0);
   }
-  void send_bytes(std::span<const std::byte> data, int dest, int tag) override {
-    comm_->send(data, dest, tag);
+  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
+    comm_->send(std::span<const std::byte>(data), dest, tag);
   }
   std::vector<std::byte> recv_bytes(int src, int tag) override {
     return comm_->recv<std::byte>(src, tag);

@@ -85,23 +85,7 @@
 // Under AddressSanitizer the fiber switches must be announced, or ASan keeps
 // using the OS thread's stack bounds while code runs (and throws — see
 // __asan_handle_no_return) on a heap fiber stack.
-#if defined(__SANITIZE_ADDRESS__)
-#define AMRIO_EVENT_ASAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define AMRIO_EVENT_ASAN_FIBERS 1
-#endif
-#endif
-#ifdef AMRIO_EVENT_ASAN_FIBERS
-#include <sanitizer/common_interface_defs.h>
-#define AMRIO_FIBER_START_SWITCH(save, bottom, size) \
-  __sanitizer_start_switch_fiber(save, bottom, size)
-#define AMRIO_FIBER_FINISH_SWITCH(save, bottom, size) \
-  __sanitizer_finish_switch_fiber(save, bottom, size)
-#else
-#define AMRIO_FIBER_START_SWITCH(save, bottom, size) (void)0
-#define AMRIO_FIBER_FINISH_SWITCH(save, bottom, size) (void)0
-#endif
+#include "exec/fiber_sanitizer.hpp"
 
 #else
 
@@ -486,11 +470,11 @@ class EventCtx final : public RankCtx {
     return v;
   }
 
-  void send_bytes(std::span<const std::byte> data, int dest, int tag) override {
+  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
     AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
     check_tag(tag);
     const std::uint64_t key = EventState::mail_key(rank_, dest, tag);
-    st_->byte_mail[key].emplace_back(data.begin(), data.end());
+    st_->byte_mail[key].push_back(std::move(data));
     st_->wake_receiver(key);
   }
 

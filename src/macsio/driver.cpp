@@ -216,20 +216,29 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
       // Two-phase aggregation: serialize into memory, encode through the
       // codec stage, ship to the group's aggregator, and let only the
       // aggregator touch the file system — the encoded documents cross the
-      // link, the aggregator decodes them, and the subfile holds the group's
-      // task documents concatenated in rank order, byte-identical to what
-      // the members would have written themselves.
+      // link, the aggregator writes their payloads, and the subfile holds the
+      // group's task documents concatenated in rank order, byte-identical to
+      // what the members would have written themselves.
+      //
+      // One materialization per document: the buffer is sized exactly up
+      // front (task_doc_bytes plus the codec's header headroom), sealed in
+      // place, moved through the ship, and written from a payload view.
       const int group = topo->group_of(rank);
       const int agg = topo->aggregator_of_group(group);
+      const std::size_t headroom = cdc->header_bytes();
       std::vector<std::byte> doc;
+      doc.reserve(headroom +
+                  iface->task_doc_bytes(spec, rank, dump,
+                                        params.parts_of_rank(rank),
+                                        params.meta_size));
+      doc.resize(headroom);
       VectorSink vsink(doc);
       serialize_task_doc(vsink);
-      written = doc.size();
-      std::vector<std::byte> blob;
-      if (encoded) blob = cdc->encode(doc);
-      const auto payloads = exec::gatherv_group(ctx, encoded ? blob : doc,
-                                                topo->members_of(group), agg,
-                                                kShipTag, probe);
+      written = vsink.bytes();
+      (void)cdc->seal(doc);
+      const auto payloads =
+          exec::gatherv_group(ctx, std::move(doc), topo->members_of(group),
+                              agg, kShipTag, probe);
       if (rank == agg) {
         const std::string path =
             aggregated_file_path_for(params, *iface, group, dump);
@@ -241,10 +250,8 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
             const codec::CompressResult enc = cdc->peek(payload);
             encoded_bytes += enc.out_bytes;
             codec_cpu += enc.cpu_seconds;
-            out.write(cdc->decode(payload));
-          } else {
-            out.write(payload);
           }
+          out.write(cdc->payload(payload));
         }
         const std::uint64_t subfile_bytes = out.bytes_written();
         out.close();  // surface flush errors (destructor closes quietly)
@@ -496,18 +503,49 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
   return stats;
 }
 
+/// The restage plan of a restart: a pure function of the parameters
+/// (task_doc_bytes is exact, codec plans are pure in the raw size), so it is
+/// built once per run_restart and shared read-only by every rank — restart
+/// read sizes are predicted byte-exactly the same way write sizes are, with
+/// nothing read yet.
+staging::RestagePlan build_restage_plan(const Params& params,
+                                        const IoInterface& iface,
+                                        const codec::Codec& cdc) {
+  const int dump = params.num_dumps - 1;
+  const bool aggregated = params.aggregators > 0;
+  std::optional<staging::AggTopology> topo;
+  if (aggregated)
+    topo = staging::AggTopology::make(params.nprocs, params.aggregators);
+  const PartSpec spec =
+      make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
+  std::vector<std::string> files(static_cast<std::size_t>(params.nprocs));
+  std::vector<std::uint64_t> doc_bytes(
+      static_cast<std::size_t>(params.nprocs));
+  for (int r = 0; r < params.nprocs; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    files[i] = aggregated ? aggregated_file_path_for(params, iface,
+                                                     topo->group_of(r), dump)
+                          : dump_file_path_for(params, iface, r, dump);
+    doc_bytes[i] = iface.task_doc_bytes(spec, r, dump, params.parts_of_rank(r),
+                                        params.meta_size);
+  }
+  return staging::make_restage_plan(files, doc_bytes, cdc,
+                                    aggregated ? &*topo : nullptr);
+}
+
 /// The single SPMD restart body: the dump loop in reverse for the last
-/// written dump. Rank 0 returns the full statistics; other ranks return
-/// empty stats.
+/// written dump, reading through the shared `plan`. Rank 0 returns the full
+/// statistics; other ranks return empty stats.
 RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
+                              const IoInterface& iface,
+                              const codec::Codec& cdc,
+                              const staging::RestagePlan& plan,
                               pfs::StorageBackend& backend,
                               iostats::TraceRecorder* trace, obs::Probe probe) {
-  params.validate();
   AMRIO_EXPECTS_MSG(ctx.nranks() == params.nprocs,
                     "run_restart: engine ranks " << ctx.nranks()
                                                  << " != nprocs "
                                                  << params.nprocs);
-  const auto iface = make_interface(params.interface);
   const int rank = ctx.rank();
   constexpr int kRestageTag = 74;
   const int dump = params.num_dumps - 1;  // restart from the last checkpoint
@@ -518,40 +556,13 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     topo = staging::AggTopology::make(params.nprocs, params.aggregators);
   const staging::AggregationConfig agg_cfg{params.aggregators,
                                            params.agg_link_bandwidth, 1.0e-6};
-  const auto cdc = codec::make_codec(params.codec_spec());
   const bool encoded = params.codec_spec().enabled();
   const int read_tier =
       params.restart_from_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs;
-  const PartSpec spec =
-      make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
-
-  // The restage plan is a pure function of the parameters (task_doc_bytes is
-  // exact, codec plans are pure in the raw size), so every rank derives the
-  // same plan locally — restart read sizes are predicted byte-exactly the
-  // same way write sizes are, with nothing read yet.
-  std::vector<std::string> files(static_cast<std::size_t>(params.nprocs));
-  std::vector<std::uint64_t> doc_bytes(
-      static_cast<std::size_t>(params.nprocs));
-  for (int r = 0; r < params.nprocs; ++r) {
-    files[static_cast<std::size_t>(r)] =
-        aggregated
-            ? aggregated_file_path_for(params, *iface, topo->group_of(r), dump)
-            : dump_file_path_for(params, *iface, r, dump);
-    doc_bytes[static_cast<std::size_t>(r)] = iface->task_doc_bytes(
-        spec, r, dump, params.parts_of_rank(r), params.meta_size);
-  }
-  const staging::RestagePlan plan = staging::make_restage_plan(
-      files, doc_bytes, *cdc, aggregated ? &*topo : nullptr);
   const staging::RestageSlice& mine =
       plan.slices[static_cast<std::size_t>(rank)];
 
   const bool contents = backend.stores_contents();
-  auto find_extent = [&](const std::string& file) {
-    for (const auto& e : plan.extents)
-      if (e.file == file) return &e;
-    AMRIO_ENSURES_MSG(false, "run_restart: no extent for " << file);
-    return static_cast<const staging::RestageExtent*>(nullptr);
-  };
   auto validate_extent = [&](const staging::RestageExtent& e) {
     AMRIO_EXPECTS_MSG(
         backend.exists(e.file),
@@ -561,49 +572,55 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
                       "run_restart: " << e.file
                                       << " drifted from the planned size");
   };
-  auto fetch_extent = [&](const staging::RestageExtent& e) {
-    validate_extent(e);
-    // Accounting-only backends degrade to exact sizes of zero bytes — the
-    // same contract StagingBackend's accounting-mode drain keeps.
-    if (!contents) return std::vector<std::byte>(e.raw_bytes);
-    return backend.read(e.file);
-  };
+  const staging::RestageExtent& my_extent = plan.extents[mine.extent];
 
-  // Byte path: recover this rank's task document.
-  std::vector<std::byte> doc;
+  // Byte path: recover this rank's task document. `doc` views the recovered
+  // raw bytes inside `held` (the received container, or the ranged read).
+  std::vector<std::byte> held;
+  std::span<const std::byte> doc;
   if (aggregated) {
     // Two-phase in reverse: the aggregator fetches the whole subfile, slices
     // it at the planned offsets, re-encodes each member's document for the
-    // wire, and fans them back out over scatterv_group; every member decodes
-    // its own document — encoded bytes cross the link, raw bytes come back.
+    // wire (sealed in place behind header headroom), and moves them back out
+    // over scatterv_group; every member views its own payload — encoded
+    // bytes cross the link, raw bytes come back.
     const int group = topo->group_of(rank);
     const int agg = topo->aggregator_of_group(group);
     const auto members = topo->members_of(group);
     std::vector<std::vector<std::byte>> payloads;
     if (rank == agg) {
-      const std::vector<std::byte> subfile = fetch_extent(*find_extent(mine.file));
+      validate_extent(my_extent);
+      // Accounting-only backends degrade to exact sizes of zero bytes — the
+      // same contract StagingBackend's accounting-mode drain keeps — so the
+      // zero-filled pieces need no subfile to copy from.
+      const std::vector<std::byte> subfile =
+          contents ? backend.read(my_extent.file) : std::vector<std::byte>{};
+      const std::size_t headroom = cdc.header_bytes();
       payloads.reserve(members.size());
       for (int r : members) {
         const auto& s = plan.slices[static_cast<std::size_t>(r)];
-        const std::span<const std::byte> piece(subfile.data() + s.offset,
-                                               s.raw_bytes);
-        payloads.push_back(encoded ? cdc->encode(piece)
-                                   : std::vector<std::byte>(piece.begin(),
-                                                            piece.end()));
+        std::vector<std::byte> piece(headroom + s.raw_bytes);
+        if (contents)
+          std::copy_n(subfile.begin() + static_cast<std::ptrdiff_t>(s.offset),
+                      s.raw_bytes,
+                      piece.begin() + static_cast<std::ptrdiff_t>(headroom));
+        (void)cdc.seal(piece);
+        payloads.push_back(std::move(piece));
       }
     }
-    std::vector<std::byte> blob =
-        exec::scatterv_group(ctx, payloads, members, agg, kRestageTag, probe);
-    doc = encoded ? cdc->decode(blob) : std::move(blob);
+    held = exec::scatterv_group(ctx, std::move(payloads), members, agg,
+                                kRestageTag, probe);
+    doc = cdc.payload(held);
   } else {
     // Every rank reads its own byte range of its dump file (concurrent
     // readers of a shared MIF-group/SIF file need no baton — nothing is
     // mutated, and the ranged read keeps a 128-rank SIF restart from
     // materializing the whole shared image once per rank).
-    validate_extent(*find_extent(mine.file));
-    doc = contents
-              ? backend.read_range(mine.file, mine.offset, mine.raw_bytes)
-              : std::vector<std::byte>(mine.raw_bytes);
+    validate_extent(my_extent);
+    held = contents
+               ? backend.read_range(mine.file, mine.offset, mine.raw_bytes)
+               : std::vector<std::byte>(mine.raw_bytes);
+    doc = held;
   }
   AMRIO_ENSURES_MSG(doc.size() == mine.raw_bytes,
                     "run_restart: recovered document size mismatch on rank "
@@ -626,13 +643,12 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     stats.task_hash = all_hash;
     stats.slices = plan.slices;
     for (int r = 0; r < params.nprocs; ++r) {
+      const staging::RestageSlice& s = plan.slices[static_cast<std::size_t>(r)];
       AMRIO_ENSURES_MSG(
-          all_bytes[static_cast<std::size_t>(r)] ==
-              doc_bytes[static_cast<std::size_t>(r)],
+          all_bytes[static_cast<std::size_t>(r)] == s.raw_bytes,
           "run_restart: read-back not byte-conserving on rank " << r);
-      stats.codec.add_decode(
-          dump, -1, cdc->plan(doc_bytes[static_cast<std::size_t>(r)]),
-          plan.slices[static_cast<std::size_t>(r)].decode_seconds);
+      stats.codec.add_decode(dump, -1, cdc.plan(s.raw_bytes),
+                             s.decode_seconds);
     }
     stats.raw_bytes = plan.raw_bytes();
     stats.encoded_bytes = plan.encoded_bytes();
@@ -675,7 +691,7 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
                            pfs::kTierPfs, -1);
     };
     read_meta(root_file_path(params, dump));
-    if (aggregated) read_meta(aggregated_index_path_for(params, *iface, dump));
+    if (aggregated) read_meta(aggregated_index_path_for(params, iface, dump));
 
     if (probe.metrics) {
       probe.metrics->add("macsio.restarts", 1);
@@ -787,9 +803,14 @@ std::uint64_t restart_hash(std::span<const std::byte> data) {
 RestartStats run_restart(exec::Engine& engine, const Params& params,
                          pfs::StorageBackend& backend,
                          iostats::TraceRecorder* trace, obs::Probe probe) {
+  params.validate();
+  const auto iface = make_interface(params.interface);
+  const auto cdc = codec::make_codec(params.codec_spec());
+  const staging::RestagePlan plan = build_restage_plan(params, *iface, *cdc);
   RestartStats result;
   engine.run([&](exec::RankCtx& ctx) {
-    RestartStats local = run_restart_rank(ctx, params, backend, trace, probe);
+    RestartStats local = run_restart_rank(ctx, params, *iface, *cdc, plan,
+                                          backend, trace, probe);
     if (ctx.rank() == 0) result = std::move(local);
   });
   return result;

@@ -358,8 +358,9 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
         const auto& mf = *levels[l].data;
         for (std::size_t bi : my_boxes)
           written += write_fab(payload, mf.fab(bi), mf.valid_box(bi));
-        // Encoded chunks cross the link; the aggregator decodes them, so the
-        // subfile stays the raw rank-order concatenation either way.
+        // Encoded chunks cross the link; the aggregator writes their
+        // payloads, so the subfile stays the raw rank-order concatenation
+        // either way.
         if (encoded) enc = plan_chunk(written, my_boxes, mf);
         const auto payloads = exec::gatherv_group(
             ctx, encoded ? cdc->encode_as(payload, enc) : std::move(payload),
@@ -383,10 +384,7 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
                 spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
                 util::zero_pad(static_cast<std::uint64_t>(group), 5);
             pfs::OutFile out(backend, path);
-            for (const auto& pl : payloads) {
-              if (encoded) out.write(cdc->decode(pl));
-              else out.write(pl);
-            }
+            for (const auto& pl : payloads) out.write(cdc->payload(pl));
             out.close();  // surface flush errors
             ++my_files;
             if (trace != nullptr)

@@ -46,6 +46,7 @@ struct RestageSlice {
   std::uint64_t raw_bytes = 0;  ///< decoded document size
   std::uint64_t encoded_bytes = 0;  ///< modeled PFS/wire size (codec plan)
   double decode_seconds = 0.0;  ///< modeled decode cpu the rank pays
+  std::size_t extent = 0;       ///< index of `file` in RestagePlan::extents
 };
 
 /// One distinct file of the restart image — the unit the PFS serves.

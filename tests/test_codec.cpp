@@ -127,6 +127,144 @@ TEST(CodecModel, ContainerRoundTripsByteExactly) {
   EXPECT_THROW(codec->decode(raw), std::runtime_error);
 }
 
+namespace {
+
+/// The in-place writer shape: `header_bytes()` of headroom, then the payload.
+std::vector<std::byte> with_headroom(const cd::Codec& codec,
+                                     const std::vector<std::byte>& raw) {
+  std::vector<std::byte> buf(codec.header_bytes());
+  buf.insert(buf.end(), raw.begin(), raw.end());
+  return buf;
+}
+
+}  // namespace
+
+TEST(CodecContainer, SealAndPayloadMatchEncodeAndDecode) {
+  cd::CodecSpec lossless;
+  lossless.name = "lossless";
+  cd::CodecSpec ebl;
+  ebl.name = "ebl";
+  ebl.error_bound = 1e-4;
+  cd::CodecSpec multi = ebl;
+  multi.var_error_bounds = {1e-2, 1e-5, 1e-3};
+  std::vector<std::byte> raw(98'765);
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    raw[i] = static_cast<std::byte>((i * 131) ^ (i >> 7));
+
+  for (const auto& spec : {lossless, ebl, multi}) {
+    SCOPED_TRACE(spec.name + (spec.var_error_bounds.empty() ? "" : " multi"));
+    const auto codec = cd::make_codec(spec);
+    EXPECT_EQ(codec->header_bytes(), 32u);
+    cd::CompressResult encoded;
+    const auto blob = codec->encode(raw, &encoded);
+
+    auto sealed = with_headroom(*codec, raw);
+    const cd::CompressResult in_place = codec->seal(sealed);
+    // the in-place container is byte-identical to the copying one...
+    EXPECT_EQ(sealed, blob);
+    EXPECT_EQ(in_place.raw_bytes, encoded.raw_bytes);
+    EXPECT_EQ(in_place.out_bytes, encoded.out_bytes);
+    EXPECT_DOUBLE_EQ(in_place.cpu_seconds, encoded.cpu_seconds);
+    // ...the payload view is the decoded document, pointing into the blob...
+    const auto view = codec->payload(sealed);
+    EXPECT_EQ(std::vector<std::byte>(view.begin(), view.end()),
+              codec->decode(blob));
+    EXPECT_EQ(view.data(), sealed.data() + codec->header_bytes());
+    // ...and peek reads back the same model either way.
+    const auto peeked = codec->peek(sealed);
+    const auto peeked_blob = codec->peek(blob);
+    EXPECT_EQ(peeked.raw_bytes, peeked_blob.raw_bytes);
+    EXPECT_EQ(peeked.out_bytes, peeked_blob.out_bytes);
+    EXPECT_DOUBLE_EQ(peeked.cpu_seconds, peeked_blob.cpu_seconds);
+    EXPECT_EQ(peeked.out_bytes, in_place.out_bytes);
+    EXPECT_NEAR(peeked.cpu_seconds, in_place.cpu_seconds, 1e-9);
+  }
+}
+
+TEST(CodecContainer, SealWritesTheDocumentedHeaderBytes) {
+  // Independent of the codec's own reader: the 32-byte header is the magic
+  // "AMRIOCDC", then raw size, modeled out size and modeled cpu nanoseconds,
+  // each a little-endian u64.
+  auto le64 = [](std::uint64_t v) {
+    std::vector<std::byte> out(8);
+    for (std::size_t i = 0; i < 8; ++i)
+      out[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+    return out;
+  };
+  auto header_of = [&](std::uint64_t raw_bytes, std::uint64_t out_bytes,
+                       std::uint64_t cpu_ns) {
+    std::vector<std::byte> h;
+    for (char c : std::string("AMRIOCDC")) h.push_back(static_cast<std::byte>(c));
+    for (std::uint64_t v : {raw_bytes, out_bytes, cpu_ns}) {
+      const auto b = le64(v);
+      h.insert(h.end(), b.begin(), b.end());
+    }
+    return h;
+  };
+  std::vector<std::byte> raw(0x1234);
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    raw[i] = static_cast<std::byte>(i * 7);
+
+  cd::CodecSpec spec;
+  spec.name = "ebl";
+  const auto codec = cd::make_codec(spec);
+  // a caller-supplied model is carried verbatim
+  const auto as = codec->encode_as(raw, cd::CompressResult{0x1234, 0x0abc, 5e-6});
+  ASSERT_EQ(as.size(), 32u + raw.size());
+  EXPECT_EQ(std::vector<std::byte>(as.begin(), as.begin() + 32),
+            header_of(0x1234, 0x0abc, 5000));
+  EXPECT_EQ(std::vector<std::byte>(as.begin() + 32, as.end()), raw);
+
+  // seal writes plan(payload size) over the headroom, payload untouched
+  const cd::CompressResult model = codec->plan(raw.size());
+  auto sealed = with_headroom(*codec, raw);
+  (void)codec->seal(sealed);
+  EXPECT_EQ(std::vector<std::byte>(sealed.begin(), sealed.begin() + 32),
+            header_of(raw.size(), model.out_bytes,
+                      static_cast<std::uint64_t>(
+                          std::llround(model.cpu_seconds * 1e9))));
+  EXPECT_EQ(std::vector<std::byte>(sealed.begin() + 32, sealed.end()), raw);
+}
+
+TEST(CodecContainer, PayloadRejectsForeignAndTruncatedBlobs) {
+  cd::CodecSpec spec;
+  spec.name = "lossless";
+  const auto codec = cd::make_codec(spec);
+  std::vector<std::byte> raw(4096, std::byte{0x5a});
+  // no container at all
+  EXPECT_THROW((void)codec->payload(raw), std::runtime_error);
+  // shorter than a header
+  EXPECT_THROW((void)codec->payload(std::span<const std::byte>(raw).first(8)),
+               std::runtime_error);
+  // a real container whose payload no longer matches its header
+  auto blob = codec->encode(raw);
+  blob.pop_back();
+  EXPECT_THROW((void)codec->payload(blob), std::runtime_error);
+  EXPECT_THROW((void)codec->decode(blob), std::runtime_error);
+  blob.push_back(std::byte{0});
+  blob.push_back(std::byte{0});
+  EXPECT_THROW((void)codec->payload(blob), std::runtime_error);
+}
+
+TEST(CodecContainer, IdentitySealAndPayloadArePassthrough) {
+  const auto codec = cd::make_codec({});
+  EXPECT_EQ(codec->header_bytes(), 0u);
+  std::vector<std::byte> raw(777);
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    raw[i] = static_cast<std::byte>(i);
+  auto sealed = with_headroom(*codec, raw);
+  const auto r = codec->seal(sealed);
+  EXPECT_EQ(sealed, raw);  // nothing written, nothing prepended
+  EXPECT_EQ(r.raw_bytes, raw.size());
+  EXPECT_EQ(r.out_bytes, raw.size());
+  EXPECT_DOUBLE_EQ(r.cpu_seconds, 0.0);
+  const auto view = codec->payload(sealed);
+  EXPECT_EQ(view.data(), sealed.data());
+  EXPECT_EQ(view.size(), raw.size());
+  EXPECT_EQ(codec->encode(raw), raw);
+  EXPECT_EQ(codec->decode(raw), raw);
+}
+
 TEST(CodecModel, SmoothnessEstimatorSeparatesSmoothFromRough) {
   std::vector<double> constant(256, 4.2);
   EXPECT_DOUBLE_EQ(cd::estimate_smoothness(constant), 1.0);

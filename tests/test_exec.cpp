@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -14,6 +16,7 @@
 #include "macsio/driver.hpp"
 #include "mesh/distribution.hpp"
 #include "mesh/multifab.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/backend.hpp"
 #include "plotfile/writer.hpp"
 #include "util/path.hpp"
@@ -115,6 +118,154 @@ TEST_P(EngineCollectives, RankExceptionPropagates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, EngineCollectives,
+                         ::testing::Values(ex::EngineKind::kSerial,
+                                           ex::EngineKind::kSpmd,
+                                           ex::EngineKind::kEvent));
+
+// ------------------------------------------- owned group collectives
+
+namespace {
+
+/// Group layout of the owned-collective tests: 12 ranks, groups of sizes
+/// 5/4/3 (uneven, so member order matters), aggregator = first member.
+struct GroupOf {
+  std::vector<int> members;
+  int root = 0;
+};
+
+GroupOf group_of(int rank) {
+  static const std::vector<std::vector<int>> kGroups = {
+      {0, 1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11}};
+  for (const auto& g : kGroups)
+    if (rank >= g.front() && rank <= g.back()) return {g, g.front()};
+  return {};
+}
+
+/// Rank-distinct content: rank r's payload is 97*r+3 bytes of a pattern.
+std::vector<std::byte> pattern_of(int r) {
+  std::vector<std::byte> out(static_cast<std::size_t>(97 * r + 3));
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = static_cast<std::byte>((i * 31 + static_cast<std::size_t>(r)) &
+                                    0xff);
+  return out;
+}
+
+/// What each rank received (gather: root's concatenated payload list;
+/// scatter: every rank's own payload) plus the probe's metrics snapshot.
+struct GroupRun {
+  std::map<int, std::vector<std::vector<std::byte>>> got;
+  amrio::obs::MetricsSnapshot metrics;
+};
+
+template <typename Body>
+GroupRun run_group(ex::EngineKind kind, Body body) {
+  constexpr int kRanks = 12;
+  const auto engine = ex::make_engine(kind, kRanks);
+  amrio::obs::MetricsRegistry metrics;
+  const amrio::obs::Probe probe{nullptr, &metrics};
+  GroupRun run;
+  std::mutex mu;
+  engine->run([&](ex::RankCtx& ctx) {
+    const GroupOf g = group_of(ctx.rank());
+    std::vector<std::vector<std::byte>> got = body(ctx, g, probe);
+    const std::lock_guard<std::mutex> lock(mu);
+    run.got[ctx.rank()] = std::move(got);
+  });
+  run.metrics = metrics.snapshot();
+  return run;
+}
+
+}  // namespace
+
+/// Bytes the 9 non-root members of the three groups ship to their roots.
+std::int64_t non_root_bytes() {
+  std::int64_t total = 0;
+  for (int r = 0; r < 12; ++r)
+    if (r != group_of(r).root)
+      total += static_cast<std::int64_t>(pattern_of(r).size());
+  return total;
+}
+
+class GroupCollectives : public ::testing::TestWithParam<ex::EngineKind> {};
+
+TEST_P(GroupCollectives, GathervDeliversAndCountsLikeSerialEngine) {
+  auto gather = [](ex::RankCtx& ctx, const GroupOf& g, amrio::obs::Probe pr) {
+    return ex::gatherv_group(ctx, pattern_of(ctx.rank()), g.members, g.root,
+                             61, pr);
+  };
+  const auto run = run_group(GetParam(), gather);
+  for (const auto& [rank, got] : run.got) {
+    const GroupOf g = group_of(rank);
+    if (rank != g.root) {
+      EXPECT_TRUE(got.empty()) << "rank " << rank;
+      continue;
+    }
+    ASSERT_EQ(got.size(), g.members.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i], pattern_of(g.members[i])) << "rank " << rank;
+  }
+  EXPECT_EQ(run.metrics.counters.at("exec.gatherv.calls"), 3);
+  EXPECT_EQ(run.metrics.counters.at("exec.gatherv.messages"), 9);
+  EXPECT_EQ(run.metrics.counters.at("exec.gatherv.bytes"), non_root_bytes());
+  // byte-identical payloads and metric snapshot on every engine
+  const auto ref = run_group(ex::EngineKind::kSerial, gather);
+  EXPECT_EQ(run.got, ref.got);
+  EXPECT_EQ(run.metrics.counters, ref.metrics.counters);
+}
+
+TEST_P(GroupCollectives, ScattervDeliversAndCountsLikeSerialEngine) {
+  auto scatter = [](ex::RankCtx& ctx, const GroupOf& g, amrio::obs::Probe pr) {
+    std::vector<std::vector<std::byte>> payloads;
+    if (ctx.rank() == g.root)
+      for (int m : g.members) payloads.push_back(pattern_of(m));
+    return std::vector<std::vector<std::byte>>{ex::scatterv_group(
+        ctx, std::move(payloads), g.members, g.root, 62, pr)};
+  };
+  const auto run = run_group(GetParam(), scatter);
+  ASSERT_EQ(run.got.size(), 12u);
+  for (const auto& [rank, got] : run.got) {
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], pattern_of(rank)) << "rank " << rank;
+  }
+  EXPECT_EQ(run.metrics.counters.at("exec.scatterv.calls"), 3);
+  EXPECT_EQ(run.metrics.counters.at("exec.scatterv.messages"), 9);
+  EXPECT_EQ(run.metrics.counters.at("exec.scatterv.bytes"), non_root_bytes());
+  const auto ref = run_group(ex::EngineKind::kSerial, scatter);
+  EXPECT_EQ(run.got, ref.got);
+  EXPECT_EQ(run.metrics.counters, ref.metrics.counters);
+}
+
+TEST_P(GroupCollectives, GathervHandsBuffersOver) {
+  // Each member records where its payload lives before moving it in. The
+  // root keeps its own buffer on every engine; the in-process mailboxes
+  // (serial fibers, event engine) deliver the senders' allocations too,
+  // while the simmpi communicator behind the spmd engine copies.
+  std::map<int, const std::byte*> filled;
+  std::mutex mu;
+  const auto run = run_group(
+      GetParam(), [&](ex::RankCtx& ctx, const GroupOf& g, amrio::obs::Probe) {
+        std::vector<std::byte> mine = pattern_of(ctx.rank());
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          filled[ctx.rank()] = mine.data();
+        }
+        return ex::gatherv_group(ctx, std::move(mine), g.members, g.root, 63);
+      });
+  const bool moves = GetParam() != ex::EngineKind::kSpmd;
+  for (const auto& [rank, got] : run.got) {
+    const GroupOf g = group_of(rank);
+    if (rank != g.root) continue;
+    ASSERT_EQ(got.size(), g.members.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const int m = g.members[i];
+      if (m == rank || moves) {
+        EXPECT_EQ(got[i].data(), filled.at(m)) << "member " << m;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, GroupCollectives,
                          ::testing::Values(ex::EngineKind::kSerial,
                                            ex::EngineKind::kSpmd,
                                            ex::EngineKind::kEvent));
@@ -241,6 +392,34 @@ TEST(EngineParity, StoredContentsIdenticalAcrossEngines) {
 
   for (const auto& path : serial_be.list(""))
     EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+}
+
+TEST(EngineParity, RestartReadBackIdenticalAcrossEngines) {
+  // run_restart builds one restage plan and shares it (with the interface
+  // and codec) read-only across every rank — real threads under spmd. Each
+  // shape must read back the same documents on every engine.
+  for (const int aggregators : {0, 4}) {
+    SCOPED_TRACE("aggregators " + std::to_string(aggregators));
+    auto params = stress_params(mc::FileMode::kMif, 16, aggregators ? 0 : 4);
+    params.aggregators = aggregators;
+    params.fill = mc::FillMode::kReal;
+    params.codec = "lossless";
+    params.restart = true;
+    std::vector<mc::RestartStats> runs;
+    for (const auto kind : {ex::EngineKind::kSerial, ex::EngineKind::kSpmd,
+                            ex::EngineKind::kEvent}) {
+      p::MemoryBackend be(true);
+      const auto engine = ex::make_engine(kind, params.nprocs);
+      (void)mc::run_macsio(*engine, params, be);
+      runs.push_back(mc::run_restart(*engine, params, be));
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].task_bytes, runs[0].task_bytes);
+      EXPECT_EQ(runs[i].task_hash, runs[0].task_hash);
+      EXPECT_EQ(runs[i].encoded_bytes, runs[0].encoded_bytes);
+      EXPECT_EQ(runs[i].requests.size(), runs[0].requests.size());
+    }
+  }
 }
 
 TEST(EngineParity, TraceStreamsIdenticalAcrossEngines) {

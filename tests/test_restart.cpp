@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <optional>
 
 #include "codec/codec.hpp"
 #include "codec/stats.hpp"
@@ -453,6 +454,107 @@ TEST_P(MacsioRestart, AccountingBackendKeepsExactSizes) {
 INSTANTIATE_TEST_SUITE_P(Kinds, MacsioRestart,
                          ::testing::Values(ex::EngineKind::kSerial,
                                            ex::EngineKind::kSpmd));
+
+// ------------------------------------------------- restart at scale
+
+namespace {
+
+/// The restage plan rebuilt from public path/size helpers alone — the
+/// independent reference every rank's slice of a restart must match.
+st::RestagePlan reference_plan(const mc::Params& params) {
+  const int dump = params.num_dumps - 1;
+  const auto iface = mc::make_interface(params.interface);
+  const auto codec = cd::make_codec(params.codec_spec());
+  const mc::PartSpec spec =
+      mc::make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
+  std::optional<st::AggTopology> topo;
+  if (params.aggregators > 0)
+    topo = st::AggTopology::make(params.nprocs, params.aggregators);
+  std::vector<std::string> files;
+  std::vector<std::uint64_t> sizes;
+  for (int r = 0; r < params.nprocs; ++r) {
+    files.push_back(topo ? mc::aggregated_file_path(params, topo->group_of(r),
+                                                    dump)
+                         : mc::dump_file_path(params, r, dump));
+    sizes.push_back(iface->task_doc_bytes(spec, r, dump,
+                                          params.parts_of_rank(r),
+                                          params.meta_size));
+  }
+  return st::make_restage_plan(files, sizes, *codec, topo ? &*topo : nullptr);
+}
+
+void expect_slices_match(const std::vector<st::RestageSlice>& got,
+                         const st::RestagePlan& want) {
+  ASSERT_EQ(got.size(), want.slices.size());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    const auto& a = got[r];
+    const auto& b = want.slices[r];
+    const bool same = a.rank == b.rank && a.file == b.file &&
+                      a.offset == b.offset && a.raw_bytes == b.raw_bytes &&
+                      a.encoded_bytes == b.encoded_bytes &&
+                      a.decode_seconds == b.decode_seconds &&
+                      a.extent == b.extent;
+    ASSERT_TRUE(same) << "slice " << r << " differs from the reference plan";
+  }
+}
+
+/// Small-part machine-scale restart: one dump through the event engine into
+/// an accounting backend, then read back.
+mc::RestartStats scale_restart(const mc::Params& params) {
+  p::MemoryBackend be(false);
+  ex::EventEngine engine(params.nprocs);
+  const auto written = mc::run_macsio(engine, params, be);
+  const auto restart = mc::run_restart(engine, params, be);
+  EXPECT_EQ(restart.task_bytes, written.task_bytes.back());
+  return restart;
+}
+
+}  // namespace
+
+TEST(MacsioRestartScale, AggregatedEventRestartAt16384Ranks) {
+  // The restage plan is built once per run_restart and shared read-only;
+  // a per-rank rebuild would be 16384 plans of 16384 slices each.
+  mc::Params params;
+  params.nprocs = 16384;
+  params.aggregators = 256;
+  params.num_dumps = 1;
+  params.part_size = 64;
+  params.avg_num_parts = 1.0;
+  params.meta_size = 0;
+  params.codec = "ebl";
+  params.restart = true;
+  params.restart_from_bb = true;
+  const auto restart = scale_restart(params);
+  ASSERT_EQ(restart.task_bytes.size(), 16384u);
+  const auto want = reference_plan(params);
+  expect_slices_match(restart.slices, want);
+  EXPECT_EQ(restart.raw_bytes, want.raw_bytes());
+  EXPECT_EQ(restart.encoded_bytes, want.encoded_bytes());
+  EXPECT_GT(restart.scatter_seconds, 0.0);
+  // one prefetch + BB read per subfile, plus the root and index reads
+  EXPECT_EQ(restart.requests.size(), 2u * 256u + 2u);
+}
+
+TEST(MacsioRestartScale, UnaggregatedEventRestartAt4096Ranks) {
+  // N-to-N: 4096 files, one slice each — the plan's contiguity check and the
+  // per-rank extent lookup are O(1) per rank.
+  mc::Params params;
+  params.nprocs = 4096;
+  params.num_dumps = 1;
+  params.part_size = 64;
+  params.avg_num_parts = 1.0;
+  params.meta_size = 0;
+  params.restart = true;
+  const auto restart = scale_restart(params);
+  ASSERT_EQ(restart.task_bytes.size(), 4096u);
+  const auto want = reference_plan(params);
+  ASSERT_EQ(want.extents.size(), 4096u);
+  expect_slices_match(restart.slices, want);
+  for (std::size_t r = 0; r < restart.slices.size(); ++r)
+    ASSERT_EQ(restart.slices[r].extent, r);
+  EXPECT_EQ(restart.raw_bytes, want.raw_bytes());
+  EXPECT_DOUBLE_EQ(restart.scatter_seconds, 0.0);
+}
 
 TEST(MacsioRestartCli, KnobsParseValidateAndRoundTrip) {
   const auto params = mc::Params::from_cli(
