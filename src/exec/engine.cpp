@@ -437,26 +437,25 @@ void check_group(const RankCtx& ctx, std::span<const int> members, int root,
 
 }  // namespace
 
-std::vector<std::vector<std::byte>> gatherv_group(
-    RankCtx& ctx, std::vector<std::byte> mine, std::span<const int> members,
-    int root, int tag, obs::Probe probe) {
+void gatherv_group(RankCtx& ctx, std::vector<std::byte> mine,
+                   std::span<const int> members, int root, int tag,
+                   const PayloadFn& on_payload, obs::Probe probe) {
   check_group(ctx, members, root, "gatherv_group");
   if (ctx.rank() != root) {
     ctx.send_bytes(std::move(mine), root, tag);
-    return {};
+    return;
   }
-  std::vector<std::vector<std::byte>> payloads;
-  payloads.reserve(members.size());
   std::uint64_t shipped = 0;
   std::int64_t nmessages = 0;
   for (int member : members) {
     if (member == root) {
-      payloads.push_back(std::move(mine));
-    } else {
-      payloads.push_back(ctx.recv_bytes(member, tag));
-      shipped += payloads.back().size();
-      ++nmessages;
+      on_payload(member, std::move(mine));
+      continue;
     }
+    std::vector<std::byte> payload = ctx.recv_bytes(member, tag);
+    shipped += payload.size();
+    ++nmessages;
+    on_payload(member, std::move(payload));
   }
   if (probe.metrics != nullptr) {
     probe.metrics->add("exec.gatherv.calls", 1);
@@ -464,7 +463,6 @@ std::vector<std::vector<std::byte>> gatherv_group(
     probe.metrics->add("exec.gatherv.bytes",
                        static_cast<std::int64_t>(shipped));
   }
-  return payloads;
 }
 
 std::vector<std::byte> scatterv_group(

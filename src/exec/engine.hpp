@@ -85,22 +85,29 @@ class RankCtx {
   virtual std::vector<std::byte> recv_bytes(int src, int tag) = 0;
 };
 
-/// Group gatherv over point-to-point messages: every rank in `members`
-/// (strictly ascending rank ids) contributes `mine`; `root` (which must be a
-/// member) receives one payload per member, in member order, and everyone
-/// else receives an empty vector. Unlike RankCtx::gatherv this is *not* a
-/// global collective — only the listed members participate, so several
-/// aggregation groups can gather concurrently. This is the two-phase
-/// collective the staging layer uses to ship task documents to aggregators.
+/// Receives one gathered payload at the root: the member's rank id and the
+/// member's bytes, handed over (the callee owns them and may drop them).
+using PayloadFn = std::function<void(int member, std::vector<std::byte> payload)>;
+
+/// Streaming group gatherv over point-to-point messages: every rank in
+/// `members` (strictly ascending rank ids) contributes `mine`; at `root`
+/// (which must be a member) `on_payload` runs once per member, in member
+/// order, as each message arrives — the root's own `mine` at its member
+/// position. Other members only send and never call `on_payload`. Unlike
+/// RankCtx::gatherv this is *not* a global collective — only the listed
+/// members participate, so several aggregation groups can gather
+/// concurrently. This is the two-phase collective the staging layer uses to
+/// ship task documents to aggregators: the root consumes (writes) each
+/// payload before it receives the next, so it never holds the whole group.
 /// A non-empty `probe` counts the ship on the metrics registry
 /// (exec.gatherv.{calls,messages,bytes}, root side) — pure commutative
 /// counter adds, so the snapshot stays engine-invariant.
 /// `mine` is taken by value and handed over: members send it with the
-/// moving `send_bytes`, the root keeps it as its own payload, so a caller
+/// moving `send_bytes`, the root passes it to `on_payload`, so a caller
 /// that moves its buffer in has it copied nowhere on the in-process engines.
-std::vector<std::vector<std::byte>> gatherv_group(
-    RankCtx& ctx, std::vector<std::byte> mine, std::span<const int> members,
-    int root, int tag, obs::Probe probe = {});
+void gatherv_group(RankCtx& ctx, std::vector<std::byte> mine,
+                   std::span<const int> members, int root, int tag,
+                   const PayloadFn& on_payload, obs::Probe probe = {});
 
 /// Group scatterv — `gatherv_group` in reverse, the read-side ship: `root`
 /// holds one payload per member (member order, so payloads.size() ==
@@ -123,7 +130,7 @@ class Engine {
  public:
   virtual ~Engine() = default;
   virtual int nranks() const = 0;
-  /// Human-readable engine name ("serial", "spmd") for reports.
+  /// Human-readable engine name ("serial", "spmd", "event") for reports.
   virtual const char* name() const = 0;
   /// Execute `fn` once per rank. Blocks until every rank finishes; rethrows
   /// the first rank exception, if any.

@@ -236,25 +236,32 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
       serialize_task_doc(vsink);
       written = vsink.bytes();
       (void)cdc->seal(doc);
-      const auto payloads =
-          exec::gatherv_group(ctx, std::move(doc), topo->members_of(group),
-                              agg, kShipTag, probe);
+      // The aggregator streams: it writes each payload as it arrives and
+      // drops it before the next receive. It is its group's first rank, so
+      // on the event engine (woken ranks resume before fresh ones start) at
+      // most about two documents per group are live at once.
+      std::string path;
+      std::optional<pfs::OutFile> out;
       if (rank == agg) {
-        const std::string path =
-            aggregated_file_path_for(params, *iface, group, dump);
-        std::uint64_t encoded_bytes = 0;
-        double codec_cpu = 0.0;
-        pfs::OutFile out(backend, path);
-        for (const auto& payload : payloads) {
-          if (encoded) {
-            const codec::CompressResult enc = cdc->peek(payload);
-            encoded_bytes += enc.out_bytes;
-            codec_cpu += enc.cpu_seconds;
-          }
-          out.write(cdc->payload(payload));
-        }
-        const std::uint64_t subfile_bytes = out.bytes_written();
-        out.close();  // surface flush errors (destructor closes quietly)
+        path = aggregated_file_path_for(params, *iface, group, dump);
+        out.emplace(backend, path);
+      }
+      std::uint64_t encoded_bytes = 0;
+      double codec_cpu = 0.0;
+      exec::gatherv_group(
+          ctx, std::move(doc), topo->members_of(group), agg, kShipTag,
+          [&](int, std::vector<std::byte> payload) {
+            if (encoded) {
+              const codec::CompressResult enc = cdc->peek(payload);
+              encoded_bytes += enc.out_bytes;
+              codec_cpu += enc.cpu_seconds;
+            }
+            out->write(cdc->payload(payload));
+          },
+          probe);
+      if (rank == agg) {
+        const std::uint64_t subfile_bytes = out->bytes_written();
+        out->close();  // surface flush errors (destructor closes quietly)
         if (trace != nullptr)
           trace->record_encoded_write(dump, 0, rank, path, subfile_bytes,
                                       encoded_bytes, codec_cpu, tier, group);

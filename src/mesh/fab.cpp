@@ -13,17 +13,13 @@ Fab::Fab(const Box& domain, int ncomp) : domain_(domain), ncomp_(ncomp) {
   data_.assign(static_cast<std::size_t>(domain.num_pts()) * ncomp, 0.0);
 }
 
-std::size_t Fab::offset(IntVect p, int comp) const {
+void Fab::offset_fail(IntVect p, int comp) const {
   AMRIO_EXPECTS_MSG(domain_.contains(p),
                     "Fab index " << p << " outside " << domain_.to_string());
   AMRIO_EXPECTS(comp >= 0 && comp < ncomp_);
-  return static_cast<std::size_t>(comp) * static_cast<std::size_t>(num_pts()) +
-         static_cast<std::size_t>(linear_index(domain_, p));
+  detail::contract_fail("Precondition", "offset_fail on a valid index",
+                        __FILE__, __LINE__, "");
 }
-
-double& Fab::operator()(IntVect p, int comp) { return data_[offset(p, comp)]; }
-
-double Fab::operator()(IntVect p, int comp) const { return data_[offset(p, comp)]; }
 
 std::span<double> Fab::component(int comp) {
   AMRIO_EXPECTS(comp >= 0 && comp < ncomp_);

@@ -28,8 +28,11 @@ class Fab {
     return static_cast<std::uint64_t>(num_pts()) * ncomp_ * sizeof(double);
   }
 
-  double& operator()(IntVect p, int comp);
-  double operator()(IntVect p, int comp) const;
+  /// Checked element access: an index outside box() or a component outside
+  /// [0, ncomp) throws ContractViolation. Inline so hot stencil loops pay one
+  /// compare-and-branch per access; only the failure path is out of line.
+  double& operator()(IntVect p, int comp) { return data_[offset(p, comp)]; }
+  double operator()(IntVect p, int comp) const { return data_[offset(p, comp)]; }
   double& operator()(int i, int j, int comp) { return (*this)(IntVect(i, j), comp); }
   double operator()(int i, int j, int comp) const {
     return (*this)(IntVect(i, j), comp);
@@ -57,7 +60,15 @@ class Fab {
   double sum(const Box& where, int comp) const;
 
  private:
-  std::size_t offset(IntVect p, int comp) const;
+  std::size_t offset(IntVect p, int comp) const {
+    if (!domain_.contains(p) || comp < 0 || comp >= ncomp_) [[unlikely]]
+      offset_fail(p, comp);
+    return static_cast<std::size_t>(comp) *
+               static_cast<std::size_t>(num_pts()) +
+           static_cast<std::size_t>(linear_index(domain_, p));
+  }
+  /// Throws the ContractViolation for a bad (p, comp).
+  [[noreturn, gnu::cold]] void offset_fail(IntVect p, int comp) const;
   Box domain_;
   int ncomp_ = 0;
   std::vector<double> data_;

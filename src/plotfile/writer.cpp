@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "codec/codec.hpp"
@@ -359,39 +360,41 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
         for (std::size_t bi : my_boxes)
           written += write_fab(payload, mf.fab(bi), mf.valid_box(bi));
         // Encoded chunks cross the link; the aggregator writes their
-        // payloads, so the subfile stays the raw rank-order concatenation
-        // either way.
+        // payloads as they arrive, so the subfile stays the raw rank-order
+        // concatenation either way. Cell_D_<group> opens on the first
+        // non-empty payload: a group that owns no boxes writes no file.
         if (encoded) enc = plan_chunk(written, my_boxes, mf);
-        const auto payloads = exec::gatherv_group(
+        std::optional<pfs::OutFile> out;
+        std::string path;
+        std::uint64_t group_total = 0;
+        std::uint64_t group_encoded = 0;
+        double group_cpu = 0.0;
+        exec::gatherv_group(
             ctx, encoded ? cdc->encode_as(payload, enc) : std::move(payload),
-            topo.members_of(group), agg, kShipTag);
-        if (rank == agg) {
-          std::uint64_t group_total = 0;
-          std::uint64_t group_encoded = 0;
-          double group_cpu = 0.0;
-          for (const auto& pl : payloads) {
-            if (encoded) {
-              const codec::CompressResult member = cdc->peek(pl);
-              group_total += member.raw_bytes;
-              group_encoded += member.out_bytes;
-              group_cpu += member.cpu_seconds;
-            } else {
-              group_total += pl.size();
-            }
-          }
-          if (group_total > 0) {
-            const std::string path =
-                spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
-                util::zero_pad(static_cast<std::uint64_t>(group), 5);
-            pfs::OutFile out(backend, path);
-            for (const auto& pl : payloads) out.write(cdc->payload(pl));
-            out.close();  // surface flush errors
-            ++my_files;
-            if (trace != nullptr)
-              trace->record_encoded_write(spec.step, static_cast<int>(l), rank,
-                                          path, group_total, group_encoded,
-                                          group_cpu, /*tier=*/0, group);
-          }
+            topo.members_of(group), agg, kShipTag,
+            [&](int, std::vector<std::byte> pl) {
+              const std::span<const std::byte> raw = cdc->payload(pl);
+              if (encoded) {
+                const codec::CompressResult member = cdc->peek(pl);
+                group_encoded += member.out_bytes;
+                group_cpu += member.cpu_seconds;
+              }
+              if (raw.empty()) return;
+              group_total += raw.size();
+              if (!out) {
+                path = spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
+                       util::zero_pad(static_cast<std::uint64_t>(group), 5);
+                out.emplace(backend, path);
+              }
+              out->write(raw);
+            });
+        if (out) {
+          out->close();  // surface flush errors
+          ++my_files;
+          if (trace != nullptr)
+            trace->record_encoded_write(spec.step, static_cast<int>(l), rank,
+                                        path, group_total, group_encoded,
+                                        group_cpu, /*tier=*/0, group);
         }
       }
     } else if (!my_boxes.empty()) {

@@ -175,8 +175,6 @@ GroupRun run_group(ex::EngineKind kind, Body body) {
   return run;
 }
 
-}  // namespace
-
 /// Bytes the 9 non-root members of the three groups ship to their roots.
 std::int64_t non_root_bytes() {
   std::int64_t total = 0;
@@ -186,14 +184,36 @@ std::int64_t non_root_bytes() {
   return total;
 }
 
+/// Streams a group gatherv into the root's payload list. The callback must
+/// see the members in member order, the root's own payload at its position.
+std::vector<std::vector<std::byte>> gather_to_vector(
+    ex::RankCtx& ctx, std::vector<std::byte> mine, const GroupOf& g, int tag,
+    amrio::obs::Probe probe = {}) {
+  std::vector<std::vector<std::byte>> got;
+  ex::gatherv_group(
+      ctx, std::move(mine), g.members, g.root, tag,
+      [&](int member, std::vector<std::byte> payload) {
+        EXPECT_EQ(ctx.rank(), g.root);
+        ASSERT_LT(got.size(), g.members.size());
+        EXPECT_EQ(member, g.members[got.size()]) << "root " << g.root;
+        got.push_back(std::move(payload));
+      },
+      probe);
+  return got;
+}
+
+}  // namespace
+
 class GroupCollectives : public ::testing::TestWithParam<ex::EngineKind> {};
 
-TEST_P(GroupCollectives, GathervDeliversAndCountsLikeSerialEngine) {
+TEST_P(GroupCollectives, GathervStreamsInMemberOrderAndCounts) {
   auto gather = [](ex::RankCtx& ctx, const GroupOf& g, amrio::obs::Probe pr) {
-    return ex::gatherv_group(ctx, pattern_of(ctx.rank()), g.members, g.root,
-                             61, pr);
+    return gather_to_vector(ctx, pattern_of(ctx.rank()), g, 61, pr);
   };
   const auto run = run_group(GetParam(), gather);
+  ASSERT_EQ(run.got.size(), 12u);
+  // Group totals 3+100+197+294+391, 488+585+682+779, 876+973+1070.
+  const std::map<int, std::size_t> root_bytes = {{0, 985}, {5, 2534}, {9, 2919}};
   for (const auto& [rank, got] : run.got) {
     const GroupOf g = group_of(rank);
     if (rank != g.root) {
@@ -201,16 +221,17 @@ TEST_P(GroupCollectives, GathervDeliversAndCountsLikeSerialEngine) {
       continue;
     }
     ASSERT_EQ(got.size(), g.members.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], pattern_of(g.members[i])) << "rank " << rank;
+      total += got[i].size();
+    }
+    EXPECT_EQ(total, root_bytes.at(rank));
   }
+  // Nine non-root members ship 97*(1+2+3+4+6+7+8+10+11) + 9*3 bytes.
   EXPECT_EQ(run.metrics.counters.at("exec.gatherv.calls"), 3);
   EXPECT_EQ(run.metrics.counters.at("exec.gatherv.messages"), 9);
-  EXPECT_EQ(run.metrics.counters.at("exec.gatherv.bytes"), non_root_bytes());
-  // byte-identical payloads and metric snapshot on every engine
-  const auto ref = run_group(ex::EngineKind::kSerial, gather);
-  EXPECT_EQ(run.got, ref.got);
-  EXPECT_EQ(run.metrics.counters, ref.metrics.counters);
+  EXPECT_EQ(run.metrics.counters.at("exec.gatherv.bytes"), 5071);
 }
 
 TEST_P(GroupCollectives, ScattervDeliversAndCountsLikeSerialEngine) {
@@ -249,7 +270,7 @@ TEST_P(GroupCollectives, GathervHandsBuffersOver) {
           const std::lock_guard<std::mutex> lock(mu);
           filled[ctx.rank()] = mine.data();
         }
-        return ex::gatherv_group(ctx, std::move(mine), g.members, g.root, 63);
+        return gather_to_vector(ctx, std::move(mine), g, 63);
       });
   const bool moves = GetParam() != ex::EngineKind::kSpmd;
   for (const auto& [rank, got] : run.got) {
@@ -269,6 +290,48 @@ INSTANTIATE_TEST_SUITE_P(Kinds, GroupCollectives,
                          ::testing::Values(ex::EngineKind::kSerial,
                                            ex::EngineKind::kSpmd,
                                            ex::EngineKind::kEvent));
+
+TEST(EventEngine, GathervRootVisitsBoundDocumentsInFlight) {
+  // The streaming aggregator's memory bound: the root is its group's first
+  // rank and the event engine resumes woken ranks before it starts fresh
+  // ones, so the root visits member m before member m+2 even serializes —
+  // at most about two payloads per group are ever live.
+  constexpr int kRanks = 4096;
+  constexpr int kGroup = 64;
+  enum class Ev { kSerialize, kVisit };
+  std::vector<std::pair<Ev, int>> log;  // single-threaded engine: no lock
+  ex::EventEngine engine(kRanks);
+  engine.run([&](ex::RankCtx& ctx) {
+    const int root = ctx.rank() / kGroup * kGroup;
+    std::vector<int> members(kGroup);
+    std::iota(members.begin(), members.end(), root);
+    log.emplace_back(Ev::kSerialize, ctx.rank());
+    std::vector<std::byte> doc(256, static_cast<std::byte>(ctx.rank() & 0xff));
+    ex::gatherv_group(ctx, std::move(doc), members, root, 7,
+                      [&](int member, std::vector<std::byte> payload) {
+                        EXPECT_EQ(payload.size(), 256u);
+                        log.emplace_back(Ev::kVisit, member);
+                      });
+    ctx.barrier();
+  });
+  std::vector<std::size_t> serialized(kRanks, 0);
+  std::vector<std::size_t> visited(kRanks, 0);
+  int nvisits = 0;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    auto& at = log[i].first == Ev::kSerialize ? serialized : visited;
+    at[static_cast<std::size_t>(log[i].second)] = i;
+    if (log[i].first == Ev::kVisit) ++nvisits;
+  }
+  ASSERT_EQ(nvisits, kRanks);
+  ASSERT_EQ(log.size(), 2u * kRanks);
+  int late = 0;  // members the root visited only after member m+2 serialized
+  for (int r = 0; r < kRanks; ++r)
+    if (r % kGroup + 2 < kGroup &&
+        visited[static_cast<std::size_t>(r)] >
+            serialized[static_cast<std::size_t>(r + 2)])
+      ++late;
+  EXPECT_EQ(late, 0);
+}
 
 TEST(SerialEngine, DeterministicSchedule) {
   // fibers are resumed in rank order between suspensions: record the order

@@ -310,6 +310,42 @@ TEST(Fab, OutOfRangeThrows) {
   m::Fab fab(m::Box(0, 0, 3, 3), 1);
   EXPECT_THROW(fab({4, 0}, 0), amrio::ContractViolation);
   EXPECT_THROW(fab({0, 0}, 1), amrio::ContractViolation);
+
+  // Every element access is checked, through both accessors: one past each
+  // of the four faces of an offset box, and components -1 and ncomp.
+  m::Fab off(m::Box(2, 3, 5, 7), 2);
+  const m::Fab& coff = off;
+  auto message_of = [](auto&& access) -> std::string {
+    try {
+      (void)access();
+    } catch (const amrio::ContractViolation& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  const std::vector<std::pair<m::IntVect, std::string>> outside = {
+      {{1, 4}, "(1,4)"}, {{6, 4}, "(6,4)"}, {{3, 2}, "(3,2)"}, {{3, 8}, "(3,8)"}};
+  for (const auto& [p, text] : outside) {
+    for (const std::string& msg :
+         {message_of([&] { return off(p, 0); }),
+          message_of([&] { return coff(p, 1); })}) {
+      EXPECT_NE(msg.find("Fab index " + text + " outside ((2,3)-(5,7))"),
+                std::string::npos)
+          << msg;
+    }
+  }
+  for (int comp : {-1, 2}) {
+    for (const std::string& msg :
+         {message_of([&] { return off({2, 3}, comp); }),
+          message_of([&] { return coff({5, 7}, comp); })}) {
+      EXPECT_NE(msg.find("comp >= 0 && comp < ncomp_"), std::string::npos)
+          << msg;
+    }
+  }
+  // corners stay in range on both accessors
+  off({5, 7}, 1) = 4.0;
+  EXPECT_DOUBLE_EQ(coff({5, 7}, 1), 4.0);
+  EXPECT_DOUBLE_EQ(coff(2, 3, 0), 0.0);
 }
 
 TEST(Fab, CopyFromIntersection) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "amr/core.hpp"
 #include "core/campaign.hpp"
 #include "hydro/derive.hpp"
@@ -165,6 +167,53 @@ TEST(Writer, NoFileForTaskWithoutData) {
   EXPECT_TRUE(be.exists("test_plt00000/Level_1/Cell_D_00000"));
   EXPECT_FALSE(be.exists("test_plt00000/Level_1/Cell_D_00001"));
   EXPECT_FALSE(be.exists("test_plt00000/Level_1/Cell_D_00002"));
+}
+
+namespace {
+
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::byte b : bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(Writer, AggregatedGroupWithoutBoxesWritesNoFile) {
+  // 3 ranks in 2 aggregation groups, {0, 1} and {2}. Level 1's one box lives
+  // on rank 0, so group 1 owns nothing there and must write no Cell_D file;
+  // every other level file keeps the bytes the aggregated writer has always
+  // produced for this spec (sizes and FNV-1a hashes recorded below).
+  Fixture fx;
+  for (std::size_t l = 0; l < fx.storage.size(); ++l)
+    for (std::size_t b = 0; b < fx.storage[l].nfabs(); ++b) {
+      const auto d = fx.storage[l].fab(b).data();
+      for (std::size_t i = 0; i < d.size(); ++i)
+        d[i] = 0.5 * static_cast<double>(l) + 0.25 * static_cast<double>(b) +
+               1.0e-3 * static_cast<double>(i);
+    }
+  fx.spec.aggregators = 2;
+  p::MemoryBackend be(true);
+  const auto stats = pf::write_plotfile(be, fx.spec, fx.levels);
+  EXPECT_FALSE(be.exists("test_plt00000/Level_1/Cell_D_00001"));
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> got;
+  for (const auto& path : be.list("test_plt00000/Level_")) {
+    const auto bytes = be.read(path);
+    got[path] = {bytes.size(), fnv1a(bytes)};
+  }
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      expected = {
+          {"test_plt00000/Level_0/Cell_D_00000", {3315u, 1112058745354497773ull}},
+          {"test_plt00000/Level_0/Cell_D_00001", {1105u, 5457714743245424594ull}},
+          {"test_plt00000/Level_0/Cell_H", {637u, 15444034722102761182ull}},
+          {"test_plt00000/Level_1/Cell_D_00000", {4178u, 86552347686822575ull}},
+          {"test_plt00000/Level_1/Cell_H", {179u, 8382487852705587015ull}},
+      };
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(stats.nfiles, be.file_count());
 }
 
 TEST(Writer, StatsMatchBackendTotals) {

@@ -143,7 +143,11 @@ TEST_P(GathervGroup, GathersMemberPayloadsInRankOrder) {
     std::vector<std::byte> mine(static_cast<std::size_t>(ctx.rank() + 1),
                                 static_cast<std::byte>(ctx.rank()));
     const auto members = topo.members_of(group);
-    const auto got = ex::gatherv_group(ctx, mine, members, root, 91);
+    std::vector<std::vector<std::byte>> got;
+    ex::gatherv_group(ctx, mine, members, root, 91,
+                      [&](int, std::vector<std::byte> payload) {
+                        got.push_back(std::move(payload));
+                      });
     if (ctx.rank() == root) {
       ASSERT_EQ(got.size(), members.size());
       for (std::size_t i = 0; i < members.size(); ++i) {
