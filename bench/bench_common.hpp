@@ -30,9 +30,9 @@ struct BenchContext {
   double scale = 0.0;      ///< explicit --scale overrides presets
   std::string out_dir = "bench_results";
   /// --engine: execution engine for any proxy replays the bench performs
-  /// (serial | spmd | event). Serial matches historical bench behavior;
-  /// event unlocks machine-scale rank counts.
-  exec::EngineKind engine = exec::EngineKind::kSerial;
+  /// (event | spmd). The deterministic event engine is the default at any
+  /// rank count; spmd runs real threads.
+  exec::EngineKind engine = exec::EngineKind::kEvent;
   /// --trace_out: Chrome-trace/Perfetto JSON. Benches trace one study row at
   /// a time (so each row's critical path is clean); by default the *last*
   /// row's trace is written here. A `%d` in the path turns it into a per-row
@@ -128,8 +128,8 @@ inline BenchContext parse_bench_args(int argc, char** argv,
   cli.add_option("scale", "explicit mesh scale in (0,1]", 1);
   cli.add_option("out", "output directory for CSV", 1,
                  std::string("bench_results"));
-  cli.add_option("engine", "execution engine: serial | spmd | event", 1,
-                 std::string("serial"));
+  cli.add_option("engine", "execution engine: event | spmd", 1,
+                 std::string("event"));
   cli.add_option("trace_out",
                  "Chrome-trace JSON (default: last study row; %d in the "
                  "path = one file per row)",

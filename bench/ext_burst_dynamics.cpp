@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       for (double sigma : {0.0, 0.4}) {
         params.compute_time = compute;
         pfs::MemoryBackend be(false);
-        exec::SerialEngine engine(params.nprocs);
+        exec::EventEngine engine(params.nprocs);
         const auto stats = macsio::run_macsio(engine, params, be);
         pfs::SimFsConfig cfg;
         cfg.n_ost = osts;

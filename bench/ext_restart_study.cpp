@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
         params.prefetch_streams = mode.prefetch ? 4 : 0;
 
         pfs::MemoryBackend backend(false);  // accounting: exact sizes
-        exec::SerialEngine engine(params.nprocs);
+        exec::EventEngine engine(params.nprocs);
         row_tracer = obs::Tracer();
         const obs::Probe probe = ctx.probe(row_tracer);
         (void)macsio::run_macsio(engine, params, backend);

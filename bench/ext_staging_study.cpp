@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       params.stage_to_bb = config.burst_buffer;
 
       pfs::MemoryBackend backend(false);
-      exec::SerialEngine engine(params.nprocs);
+      exec::EventEngine engine(params.nprocs);
       row_tracer = obs::Tracer();
       obs::Probe probe = ctx.probe(row_tracer);
       const auto stats =
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
           row_tracer = obs::Tracer();
           probe = ctx.probe(row_tracer);
           pfs::MemoryBackend probe_backend(false);
-          exec::SerialEngine probe_engine(params.nprocs);
+          exec::EventEngine probe_engine(params.nprocs);
           (void)macsio::run_macsio(probe_engine, params, probe_backend,
                                    nullptr, probe);
         }

@@ -8,14 +8,13 @@
 ///     std::map). Emits micro_engine_scaling.csv.
 ///
 ///  2. Execution-engine scaling (ranks 64 → 131072, and 516,096 with
-///     --full): serial vs spmd vs event on three workload shapes — pure
-///     engine fabric (spin-up + one barrier), a MIF N-to-N dump, and a
-///     fig11-shaped aggregated dump (56-rank groups). Emits
-///     BENCH_engine.json (ranks × engine × wall-seconds, sim-ranks/sec plus
-///     event-over-serial speedups) so the engine trajectory is recorded as
-///     data, not prose. SpmdEngine rows stop at its thread cap and
-///     SerialEngine rows at 32k ranks (128 KiB of fiber stack per rank);
-///     the event engine runs the whole sweep — that asymmetry is the point.
+///     --full): spmd vs event on three workload shapes — pure engine fabric
+///     (spin-up + one barrier), a MIF N-to-N dump, and a fig11-shaped
+///     aggregated dump (56-rank groups). Emits BENCH_engine.json (ranks ×
+///     engine × wall-seconds and sim-ranks/sec) so the engine trajectory is
+///     recorded as data, not prose; tools/bench_diff.py gates the event
+///     rows' sim-ranks/sec. SpmdEngine rows stop at its thread cap; the
+///     event engine runs the whole sweep — that asymmetry is the point.
 
 #include <algorithm>
 #include <chrono>
@@ -193,15 +192,10 @@ struct EngineRow {
 };
 
 /// Which engines are worth timing at `ranks`: spmd stops at its thread cap,
-/// serial at 32k ranks (128 KiB fiber stack each — 4 GiB of stacks there,
-/// and the per-rank cost is flat so larger counts add no information).
+/// the event engine runs every count.
 bool engine_runs_at(exec::EngineKind kind, int ranks) {
-  switch (kind) {
-    case exec::EngineKind::kSpmd: return ranks <= exec::SpmdEngine::thread_cap();
-    case exec::EngineKind::kSerial: return ranks <= 32768;
-    case exec::EngineKind::kEvent: return true;
-  }
-  return false;
+  return kind != exec::EngineKind::kSpmd ||
+         ranks <= exec::SpmdEngine::thread_cap();
 }
 
 }  // namespace
@@ -210,7 +204,7 @@ int main(int argc, char** argv) {
   const auto ctx = bench::parse_bench_args(
       argc, argv, "micro_engine_scaling",
       "engine/backend scaling: sharded vs global-mutex substrate, and "
-      "serial vs spmd vs event execution engines");
+      "spmd vs event execution engines");
   bench::banner("Engine scaling — I/O substrate and execution engines",
                 "motivation for the unified exec engine (§II, Fig. 3 path)");
 
@@ -285,11 +279,10 @@ int main(int argc, char** argv) {
               num_dumps, static_cast<unsigned long long>(part_size),
               parts_per_rank, reps, dumps.to_string().c_str());
 
-  // --- execution-engine sweep: serial vs spmd vs event -----------------------
+  // --- execution-engine sweep: spmd vs event ---------------------------------
   std::vector<int> engine_ranks = {64, 512, 4096, 131072};
   if (ctx.full) engine_ranks.push_back(9216 * 56);  // the 516,096-rank case
-  const exec::EngineKind kinds[] = {exec::EngineKind::kSerial,
-                                    exec::EngineKind::kSpmd,
+  const exec::EngineKind kinds[] = {exec::EngineKind::kSpmd,
                                     exec::EngineKind::kEvent};
   const Workload workloads[] = {Workload::kSpinupBarrier, Workload::kMifDump,
                                 Workload::kAggDump};
@@ -320,11 +313,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("execution engines (same driver body per workload; spmd capped "
-              "at %d threads,\nserial at 32768 ranks):\n%s\n",
+              "at %d threads):\n%s\n",
               exec::SpmdEngine::thread_cap(), engines.to_string().c_str());
 
-  // BENCH_engine.json: the rows plus event-over-serial speedups wherever both
-  // engines ran — the trajectory record CI uploads.
+  // BENCH_engine.json: the rows — the trajectory record CI uploads.
   const std::string json_path = bench::csv_path(ctx, "BENCH_engine.json");
   {
     std::ofstream out(json_path);
@@ -341,21 +333,6 @@ int main(int argc, char** argv) {
       w.key("seconds").value(row.seconds);
       w.key("sim_ranks_per_sec").value(row.ranks_per_sec);
       w.end_object();
-    }
-    w.end_array();
-    w.key("speedup_event_over_serial").begin_array();
-    for (const EngineRow& ev : rows) {
-      if (ev.engine != exec::EngineKind::kEvent) continue;
-      for (const EngineRow& se : rows) {
-        if (se.engine == exec::EngineKind::kSerial &&
-            se.workload == ev.workload && se.ranks == ev.ranks) {
-          w.begin_object();
-          w.key("workload").value(workload_name(ev.workload));
-          w.key("ranks").value(static_cast<std::int64_t>(ev.ranks));
-          w.key("speedup").value(se.seconds / ev.seconds);
-          w.end_object();
-        }
-      }
     }
     w.end_array();
     w.end_object();

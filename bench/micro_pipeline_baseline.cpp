@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       params.codec_throughput = kCodecThroughput;
 
       pfs::MemoryBackend backend(false);
-      exec::SerialEngine engine(params.nprocs);
+      exec::EventEngine engine(params.nprocs);
       row_tracer = obs::Tracer();
       const obs::Probe probe = ctx.probe(row_tracer);
       const auto stats =

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::printf("parsed invocation:\n  %s\n\n", params.to_command_line().c_str());
 
   pfs::MemoryBackend backend(false);
-  exec::SerialEngine engine(params.nprocs);
+  exec::EventEngine engine(params.nprocs);
   const auto stats = macsio::run_macsio(engine, params, backend);
   util::TextTable out({"dump", "bytes", "human"});
   for (std::size_t d = 0; d < stats.bytes_per_dump.size(); ++d)

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   params.compute_time = cli.get_double("compute_time");
   params.part_size *= static_cast<std::uint64_t>(cli.get_int("amplify"));
   pfs::MemoryBackend backend(false);
-  exec::SerialEngine engine(params.nprocs);
+  exec::EventEngine engine(params.nprocs);
   const auto stats = macsio::run_macsio(engine, params, backend);
   std::printf("proxy (part_size amplified x%lld): %d dumps, %s total, dumps "
               "every %.1fs of compute\n\n",

@@ -2,9 +2,9 @@
 /// The MACSio-compatible proxy I/O executable — accepts the paper's Table II
 /// argument set (Listing-1 invocations work verbatim, minus jsrun) and runs
 /// the dump loop over virtual ranks. --engine picks the execution substrate:
-/// serial fibers (default), spmd OS threads through the simulated MPI layer
-/// (including MIF baton-passing), or the discrete-event engine for
-/// machine-scale rank counts (--engine event handles 100k+ virtual ranks).
+/// the deterministic discrete-event engine (default; handles 100k+ virtual
+/// ranks) or spmd OS threads through the simulated MPI layer (including MIF
+/// baton-passing).
 ///
 ///   macsio_proxy --interface miftmpl --parallel_file_mode MIF 8 \
 ///     --num_dumps 20 --part_size 1550000 --avg_num_parts 1 \
@@ -52,7 +52,7 @@
 int main(int argc, char** argv) {
   using namespace amrio;
   std::vector<std::string> args;
-  exec::EngineKind engine_kind = exec::EngineKind::kSerial;
+  exec::EngineKind engine_kind = exec::EngineKind::kEvent;
   bool to_disk = false;
   std::string out_root = "macsio_run";
   std::string trace_out;
@@ -71,9 +71,7 @@ int main(int argc, char** argv) {
   int predict_ranks = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--spmd") {  // legacy alias for --engine spmd
-      engine_kind = exec::EngineKind::kSpmd;
-    } else if (a == "--engine" && i + 1 < argc) {
+    if (a == "--engine" && i + 1 < argc) {
       try {
         engine_kind = exec::engine_kind_from_name(argv[++i]);
       } catch (const std::exception& e) {
@@ -138,10 +136,9 @@ int main(int argc, char** argv) {
           "           --codec_throughput B --codec_decode_throughput B\n"
           "  restart: --restart (read the last dump back)\n"
           "           --read_staging none|bb --prefetch N\n"
-          "  extras: --engine serial|spmd|event (execution substrate;\n"
-          "          event scales to 100k+ virtual ranks), --spmd (alias\n"
-          "          for --engine spmd), --disk (write real files),\n"
-          "          --out DIR (disk root)\n"
+          "  extras: --engine event|spmd (execution substrate; event,\n"
+          "          the default, scales to 100k+ virtual ranks),\n"
+          "          --disk (write real files), --out DIR (disk root)\n"
           "  observability: --trace_out FILE (Chrome-trace/Perfetto JSON of\n"
           "          the virtual-time spans; ranks as threads),\n"
           "          --trace_sample N (with --trace_out: stream the trace\n"

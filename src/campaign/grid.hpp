@@ -55,7 +55,10 @@ std::vector<CellConfig> make_grid(const GridSpec& spec);
 /// The default campaign grid: 3 interfaces × 6 staging modes (MIF direct/
 /// agg/bb/agg+bb, SIF direct/bb) × 4 codec points (identity, lossless,
 /// uniform ebl, per-variable ebl) × 2 engines (serial, event) × 4 rank
-/// counts = 576 cells.
+/// counts = 576 cells. The engine axis is a label only: "serial"
+/// (exec::EngineKind::kSerial) builds an EventEngine like "event" does, so
+/// its two halves give identical results; it stays until a change that
+/// re-records the campaign benchmark's digest drops it.
 GridSpec table3_grid();
 
 }  // namespace amrio::campaign

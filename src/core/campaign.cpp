@@ -47,8 +47,9 @@ void write_plot_for(const amr::AmrCore& core, std::int64_t step, double time,
     derived.push_back(core.derive_level(l));
     levels.push_back(plotfile::LevelPlotData{core.level(l).geom, &derived.back()});
   }
-  // Serial-engine write (fiber ranks sized to the widest level distribution);
-  // campaigns needing threaded writes can call the exec::Engine overload.
+  // Event-engine write (virtual ranks sized to the widest level
+  // distribution); campaigns needing threaded writes can call the
+  // exec::Engine overload.
   plotfile::write_plotfile(backend, spec, levels, trace);
 }
 

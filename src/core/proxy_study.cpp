@@ -26,8 +26,8 @@ ValidationResult calibrate_and_validate(const RunRecord& run,
   // Execute the calibrated proxy for real (as the paper does on Summit) and
   // measure what it writes. The engine choice does not affect the bytes —
   // every engine runs the same driver body — so the calibration replay stays
-  // valid under any of them; serial is the cheap default and event unlocks
-  // machine-scale nprocs.
+  // valid under any of them; the event engine is the cheap default at any
+  // nprocs.
   macsio::Params params = result.translation.params;
   params.output_dir = "macsio_" + run.config.name;
   params.codec = opts.codec;

@@ -19,9 +19,10 @@ namespace amrio::core {
 /// translation itself never depends on these (it prices raw bytes); they
 /// shape how the validated proxy is *executed*.
 struct StudyOptions {
-  /// Execution engine for the proxy replay. Serial is the calibration
-  /// default; kEvent unlocks machine-scale nprocs.
-  exec::EngineKind engine = exec::EngineKind::kSerial;
+  /// Execution engine for the proxy replay: the deterministic event engine
+  /// by default (any nprocs, calibration scale through machine scale); kSpmd
+  /// runs real threads.
+  exec::EngineKind engine = exec::EngineKind::kEvent;
   /// Compression model applied to task documents ("identity", "ebl", ...);
   /// forwarded to macsio::Params::codec with the bound/throughput knobs.
   std::string codec = "identity";

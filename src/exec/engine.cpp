@@ -1,17 +1,9 @@
 #include "exec/engine.hpp"
 
-#include <ucontext.h>
-
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <exception>
-#include <map>
 #include <stdexcept>
-#include <tuple>
 
-#include "exec/fiber_sanitizer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/selfprof.hpp"
 #include "util/assert.hpp"
@@ -19,6 +11,47 @@
 namespace amrio::exec {
 
 // ---------------------------------------------------------------- SpmdEngine
+
+namespace {
+
+/// SpmdEngine's rank context: one OS thread per rank, every operation
+/// forwarded to the rank's simmpi communicator. Unlike the event engine's
+/// in-process mailboxes, the communicator copies sent bytes into its own
+/// message storage.
+class CommCtx final : public RankCtx {
+ public:
+  explicit CommCtx(simmpi::Comm& comm) : comm_(&comm) {}
+  int rank() const override { return comm_->rank(); }
+  int nranks() const override { return comm_->size(); }
+  void barrier() override { comm_->barrier(); }
+  std::uint64_t exscan_sum(std::uint64_t v) override {
+    return comm_->exscan_sum(v);
+  }
+  std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
+    return comm_->gather(v, root);
+  }
+  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
+                                 int root) override {
+    return comm_->gatherv(bytes, root);
+  }
+  void send_token(std::uint64_t value, int dest, int tag) override {
+    comm_->send(std::span<const std::uint64_t>(&value, 1), dest, tag);
+  }
+  std::uint64_t recv_token(int src, int tag) override {
+    return comm_->recv<std::uint64_t>(src, tag).at(0);
+  }
+  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
+    comm_->send(std::span<const std::byte>(data), dest, tag);
+  }
+  std::vector<std::byte> recv_bytes(int src, int tag) override {
+    return comm_->recv<std::byte>(src, tag);
+  }
+
+ private:
+  simmpi::Comm* comm_;
+};
+
+}  // namespace
 
 int SpmdEngine::thread_cap() {
   constexpr int kDefaultCap = 1024;
@@ -54,363 +87,6 @@ void SpmdEngine::run(const RankFn& fn) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
   }
-}
-
-// -------------------------------------------------------------- SerialEngine
-//
-// Each rank is a ucontext fiber. The scheduler round-robins over runnable
-// fibers; a fiber blocks (swaps back to the scheduler) when it arrives at a
-// collective before its peers or when it receives a token that has not been
-// sent yet. The *last* rank arriving at a collective snapshots the result for
-// everyone before releasing, so a rank resumed later never observes staging
-// slots overwritten by the next collective (a full release requires all
-// nranks arrivals, which a still-suspended rank cannot contribute to).
-
-namespace {
-
-struct SerialState {
-  explicit SerialState(int n)
-      : n(n), u64_slots(static_cast<std::size_t>(n)),
-        u64_result(static_cast<std::size_t>(n)),
-        byte_slots(static_cast<std::size_t>(n)) {}
-
-  enum class FiberState { kReady, kWaitCollective, kWaitToken, kWaitBytes, kDone };
-
-  struct Fiber {
-    ucontext_t ctx{};
-    // Uninitialized on purpose: value-initializing would memset every stack
-    // on every Engine::run, costing nranks x stack_bytes per serial replay.
-    std::unique_ptr<char[]> stack;
-    std::size_t stack_size = 0;
-    FiberState state = FiberState::kReady;
-    std::tuple<int, int, int> wait_key{};  // (src, dst, tag) for kWaitToken/Bytes
-    void* asan_fake = nullptr;  ///< ASan fake-stack handle across suspensions
-  };
-
-  int n;
-  const RankFn* fn = nullptr;
-  ucontext_t main_ctx{};
-  std::vector<Fiber> fibers;
-  int current = -1;
-  /// Scheduler stack bounds, recorded on first fiber entry so yields and
-  /// fiber exits can announce the switch back (ASan annotation only).
-  const void* sched_stack_bottom = nullptr;
-  std::size_t sched_stack_size = 0;
-
-  // collective staging (inputs, written at arrive) and results (snapshotted
-  // by the releasing rank).
-  int arrived = 0;
-  std::vector<std::uint64_t> u64_slots;
-  std::vector<std::uint64_t> u64_result;
-  std::vector<std::span<const std::byte>> byte_slots;
-  std::vector<std::byte> bytes_result;
-
-  // token/byte mailboxes keyed by (src, dst, tag)
-  std::map<std::tuple<int, int, int>, std::deque<std::uint64_t>> mail;
-  std::map<std::tuple<int, int, int>, std::deque<std::vector<std::byte>>>
-      byte_mail;
-
-  std::exception_ptr first_error;
-  bool aborted = false;
-
-  bool token_available(const std::tuple<int, int, int>& key) const {
-    const auto it = mail.find(key);
-    return it != mail.end() && !it->second.empty();
-  }
-
-  bool bytes_available(const std::tuple<int, int, int>& key) const {
-    const auto it = byte_mail.find(key);
-    return it != byte_mail.end() && !it->second.empty();
-  }
-};
-
-/// Rank context bound to one fiber of a SerialState.
-class FiberCtx final : public RankCtx {
- public:
-  FiberCtx(SerialState* st, int rank) : st_(st), rank_(rank) {}
-
-  int rank() const override { return rank_; }
-  int nranks() const override { return st_->n; }
-
-  void barrier() override { arrive([](SerialState&) {}); }
-
-  std::uint64_t exscan_sum(std::uint64_t v) override {
-    st_->u64_slots[static_cast<std::size_t>(rank_)] = v;
-    arrive([](SerialState& st) {
-      std::uint64_t acc = 0;
-      for (int r = 0; r < st.n; ++r) {
-        const std::uint64_t x = st.u64_slots[static_cast<std::size_t>(r)];
-        st.u64_result[static_cast<std::size_t>(r)] = acc;
-        acc += x;
-      }
-    });
-    return st_->u64_result[static_cast<std::size_t>(rank_)];
-  }
-
-  std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
-    AMRIO_EXPECTS(root >= 0 && root < st_->n);
-    st_->u64_slots[static_cast<std::size_t>(rank_)] = v;
-    arrive([](SerialState& st) { st.u64_result = st.u64_slots; });
-    if (rank_ != root) return {};
-    return st_->u64_result;
-  }
-
-  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                 int root) override {
-    AMRIO_EXPECTS(root >= 0 && root < st_->n);
-    st_->byte_slots[static_cast<std::size_t>(rank_)] = bytes;
-    arrive([](SerialState& st) {
-      st.bytes_result.clear();
-      for (int r = 0; r < st.n; ++r) {
-        const auto s = st.byte_slots[static_cast<std::size_t>(r)];
-        st.bytes_result.insert(st.bytes_result.end(), s.begin(), s.end());
-      }
-    });
-    if (rank_ != root) return {};
-    return st_->bytes_result;
-  }
-
-  void send_token(std::uint64_t value, int dest, int tag) override {
-    AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
-    st_->mail[{rank_, dest, tag}].push_back(value);
-  }
-
-  std::uint64_t recv_token(int src, int tag) override {
-    AMRIO_EXPECTS(src >= 0 && src < st_->n && src != rank_);
-    const std::tuple<int, int, int> key{src, rank_, tag};
-    while (!st_->token_available(key)) {
-      check_abort();
-      auto& f = st_->fibers[static_cast<std::size_t>(rank_)];
-      f.state = SerialState::FiberState::kWaitToken;
-      f.wait_key = key;
-      yield();
-    }
-    auto& q = st_->mail[key];
-    const std::uint64_t v = q.front();
-    q.pop_front();
-    return v;
-  }
-
-  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
-    AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
-    st_->byte_mail[{rank_, dest, tag}].push_back(std::move(data));
-  }
-
-  std::vector<std::byte> recv_bytes(int src, int tag) override {
-    AMRIO_EXPECTS(src >= 0 && src < st_->n && src != rank_);
-    const std::tuple<int, int, int> key{src, rank_, tag};
-    while (!st_->bytes_available(key)) {
-      check_abort();
-      auto& f = st_->fibers[static_cast<std::size_t>(rank_)];
-      f.state = SerialState::FiberState::kWaitBytes;
-      f.wait_key = key;
-      yield();
-    }
-    auto& q = st_->byte_mail[key];
-    std::vector<std::byte> v = std::move(q.front());
-    q.pop_front();
-    return v;
-  }
-
- private:
-  /// Arrive at a collective; the last rank runs `release` (computes results
-  /// from the staging slots) and wakes everyone, then proceeds without
-  /// yielding. Earlier ranks suspend until released.
-  template <typename ReleaseFn>
-  void arrive(ReleaseFn&& release) {
-    check_abort();
-    if (st_->n == 1) {
-      release(*st_);
-      return;
-    }
-    if (++st_->arrived == st_->n) {
-      st_->arrived = 0;
-      release(*st_);
-      for (auto& f : st_->fibers) {
-        if (f.state == SerialState::FiberState::kWaitCollective)
-          f.state = SerialState::FiberState::kReady;
-      }
-      return;
-    }
-    st_->fibers[static_cast<std::size_t>(rank_)].state =
-        SerialState::FiberState::kWaitCollective;
-    yield();
-    check_abort();
-  }
-
-  void yield() {
-    auto& f = st_->fibers[static_cast<std::size_t>(rank_)];
-    AMRIO_FIBER_START_SWITCH(&f.asan_fake, st_->sched_stack_bottom,
-                             st_->sched_stack_size);
-    swapcontext(&f.ctx, &st_->main_ctx);
-    AMRIO_FIBER_FINISH_SWITCH(f.asan_fake, nullptr, nullptr);
-  }
-
-  void check_abort() const {
-    if (st_->aborted) throw simmpi::CommAborted();
-  }
-
-  SerialState* st_;
-  int rank_;
-};
-
-/// makecontext only passes ints — smuggle the state pointer in two halves.
-void fiber_trampoline(unsigned int hi, unsigned int lo) {
-  auto* st = reinterpret_cast<SerialState*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
-  AMRIO_FIBER_FINISH_SWITCH(nullptr, &st->sched_stack_bottom,
-                            &st->sched_stack_size);
-  const int rank = st->current;
-  {
-    FiberCtx ctx(st, rank);
-    try {
-      (*st->fn)(ctx);
-    } catch (...) {
-      if (!st->first_error) st->first_error = std::current_exception();
-      st->aborted = true;
-    }
-  }
-  st->fibers[static_cast<std::size_t>(rank)].state =
-      SerialState::FiberState::kDone;
-  // nullptr save: this fiber is done — release its ASan fake stack.
-  AMRIO_FIBER_START_SWITCH(nullptr, st->sched_stack_bottom,
-                           st->sched_stack_size);
-  // returning resumes main_ctx via uc_link
-}
-
-/// Bind every (already stack-backed) fiber to the trampoline. Out of line so
-/// getcontext's setjmp-like control flow never shares a frame with objects
-/// the compiler could cache in clobbered registers (-Wclobbered).
-[[gnu::noinline]] void prepare_fibers(SerialState& st) {
-  const auto ptr = reinterpret_cast<std::uintptr_t>(&st);
-  for (auto& f : st.fibers) {
-    if (getcontext(&f.ctx) != 0)
-      throw std::runtime_error("SerialEngine: getcontext failed");
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = f.stack_size;
-    f.ctx.uc_link = &st.main_ctx;
-    makecontext(&f.ctx, reinterpret_cast<void (*)()>(fiber_trampoline), 2,
-                static_cast<unsigned int>(ptr >> 32),
-                static_cast<unsigned int>(ptr & 0xffffffffu));
-  }
-}
-
-/// Round-robin fiber scheduler. Kept free of nontrivial locals and out of
-/// line: swapcontext has setjmp-like control flow and must not share a frame
-/// with objects the compiler could cache in clobbered registers.
-[[gnu::noinline]] void run_fibers(SerialState& st, int nranks) {
-  int ndone = 0;
-  while (ndone < nranks) {
-    bool progressed = false;
-    for (int r = 0; r < nranks; ++r) {
-      auto& f = st.fibers[static_cast<std::size_t>(r)];
-      if (f.state == SerialState::FiberState::kDone) continue;
-      if (f.state == SerialState::FiberState::kWaitToken) {
-        if (!st.token_available(f.wait_key) && !st.aborted) continue;
-        f.state = SerialState::FiberState::kReady;  // recv_token rechecks
-      }
-      if (f.state == SerialState::FiberState::kWaitBytes) {
-        if (!st.bytes_available(f.wait_key) && !st.aborted) continue;
-        f.state = SerialState::FiberState::kReady;  // recv_bytes rechecks
-      }
-      if (st.aborted && f.state == SerialState::FiberState::kWaitCollective)
-        f.state = SerialState::FiberState::kReady;  // resume to throw
-      if (f.state != SerialState::FiberState::kReady) continue;
-      st.current = r;
-      void* sched_fake = nullptr;
-      AMRIO_FIBER_START_SWITCH(&sched_fake, f.stack.get(), f.stack_size);
-      if (swapcontext(&st.main_ctx, &f.ctx) != 0)
-        throw std::runtime_error("SerialEngine: swapcontext failed");
-      AMRIO_FIBER_FINISH_SWITCH(sched_fake, nullptr, nullptr);
-      progressed = true;
-      if (f.state == SerialState::FiberState::kDone) ++ndone;
-    }
-    if (!progressed && ndone < nranks) {
-      // Deadlock: don't throw over suspended fibers (their locals would
-      // never be destructed). Flag the abort and let the next pass resume
-      // every blocked fiber; each throws CommAborted internally, unwinds,
-      // and finishes, then run() rethrows the error recorded here.
-      if (st.aborted)
-        throw std::runtime_error(
-            "SerialEngine: internal error — aborted fibers did not unwind");
-      if (!st.first_error)
-        st.first_error = std::make_exception_ptr(std::runtime_error(
-            "SerialEngine: deadlock — all live ranks are blocked (mismatched "
-            "collectives or a recv_token with no matching send_token)"));
-      st.aborted = true;
-    }
-  }
-}
-
-/// Trivial context for the single-rank fast path (no fibers needed).
-class SingleCtx final : public RankCtx {
- public:
-  int rank() const override { return 0; }
-  int nranks() const override { return 1; }
-  void barrier() override {}
-  std::uint64_t exscan_sum(std::uint64_t) override { return 0; }
-  std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
-    AMRIO_EXPECTS(root == 0);
-    return {v};
-  }
-  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                 int root) override {
-    AMRIO_EXPECTS(root == 0);
-    return {bytes.begin(), bytes.end()};
-  }
-  void send_token(std::uint64_t, int, int) override {
-    throw std::runtime_error("SerialEngine: send_token with one rank");
-  }
-  std::uint64_t recv_token(int, int) override {
-    throw std::runtime_error("SerialEngine: recv_token with one rank");
-  }
-  void send_bytes(std::vector<std::byte>, int, int) override {
-    throw std::runtime_error("SerialEngine: send_bytes with one rank");
-  }
-  std::vector<std::byte> recv_bytes(int, int) override {
-    throw std::runtime_error("SerialEngine: recv_bytes with one rank");
-  }
-};
-
-}  // namespace
-
-SerialEngine::SerialEngine(int nranks, std::size_t stack_bytes)
-    : nranks_(nranks), stack_bytes_(stack_bytes) {
-  AMRIO_EXPECTS_MSG(nranks >= 1, "SerialEngine needs at least one rank");
-  AMRIO_EXPECTS_MSG(stack_bytes >= 16 * 1024,
-                    "SerialEngine fiber stacks must be at least 16 KiB");
-}
-
-void SerialEngine::run(const RankFn& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  auto publish = [&] {
-    if (profiler_ == nullptr) return;
-    profiler_->count("engine.serial.runs", 1);
-    profiler_->phase_add(
-        "engine.serial.run",
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-  };
-  if (nranks_ == 1) {
-    SingleCtx ctx;
-    fn(ctx);
-    publish();
-    return;
-  }
-
-  SerialState st(nranks_);
-  st.fn = &fn;
-  st.fibers.resize(static_cast<std::size_t>(nranks_));
-  for (auto& f : st.fibers) {
-    f.stack.reset(new char[stack_bytes_]);  // uninitialized by design
-    f.stack_size = stack_bytes_;
-  }
-
-  prepare_fibers(st);
-  run_fibers(st, nranks_);
-
-  publish();
-  if (st.first_error) std::rethrow_exception(st.first_error);
 }
 
 namespace {
@@ -495,19 +171,18 @@ std::vector<std::byte> scatterv_group(
 
 std::unique_ptr<Engine> make_engine(EngineKind kind, int nranks) {
   switch (kind) {
-    case EngineKind::kSerial: return std::make_unique<SerialEngine>(nranks);
-    case EngineKind::kSpmd: return std::make_unique<SpmdEngine>(nranks);
+    case EngineKind::kSerial:  // grid label only: runs on the event engine
     case EngineKind::kEvent: return std::make_unique<EventEngine>(nranks);
+    case EngineKind::kSpmd: return std::make_unique<SpmdEngine>(nranks);
   }
   throw std::invalid_argument("make_engine: unknown engine kind");
 }
 
 EngineKind engine_kind_from_name(const std::string& name) {
-  if (name == "serial") return EngineKind::kSerial;
-  if (name == "spmd") return EngineKind::kSpmd;
   if (name == "event") return EngineKind::kEvent;
+  if (name == "spmd") return EngineKind::kSpmd;
   throw std::invalid_argument("unknown engine '" + name +
-                              "' (valid: serial, spmd, event)");
+                              "' (valid: event, spmd)");
 }
 
 const char* engine_kind_name(EngineKind kind) {

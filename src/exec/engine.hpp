@@ -4,31 +4,29 @@
 ///
 /// The drivers in this repository (the MACSio dump loop, the AMReX plotfile
 /// writer) are SPMD programs: every rank executes the same body, synchronizing
-/// through a small set of collectives and MIF baton messages. Historically the
-/// repo carried two divergent implementations of each driver — a serial loop
-/// over virtual ranks and a threaded path over simmpi — which had to be kept
-/// byte-identical by hand. This layer collapses them: drivers are written once
-/// against `RankCtx` (rank id, barrier, exscan_sum, gather/gatherv, tagged
-/// token and byte-payload send/recv) and an `Engine` decides how the ranks
-/// execute:
+/// through a small set of collectives and MIF baton messages. Drivers are
+/// written once against `RankCtx` (rank id, barrier, exscan_sum,
+/// gather/gatherv, tagged token and byte-payload send/recv) and an `Engine`
+/// decides how the ranks execute. There are two:
 ///
+///  * `EventEngine` — the in-process engine, used everywhere by default:
+///    zero threads, deterministic discrete-event scheduling. Ranks are
+///    virtual (no per-rank stack or thread — suspended ranks are compact
+///    stack slices in arena pools), collectives are batched events resolved
+///    when the last participant arrives, and the scheduler's ready queue
+///    makes each step O(active events) rather than O(nranks). It serves the
+///    calibrator's many 8–64-rank replays and 100k+-rank machine-scale dumps
+///    alike.
 ///  * `SpmdEngine`  — real concurrency: one OS thread per rank via
 ///    `simmpi::run_spmd`, collectives through the shared-memory communicator.
-///    Fails fast above a configurable thread cap (see `SpmdEngine::thread_cap`)
-///    instead of exhausting the machine mid-run.
-///  * `SerialEngine` — zero threads: each rank is a cooperatively scheduled
-///    fiber (ucontext). Collectives suspend a fiber until every rank arrives,
-///    so MPI lockstep semantics hold exactly, deterministically, and cheaply —
-///    this is what the calibrator uses when it replays MACSio many times.
-///  * `EventEngine` — discrete-event scheduling for machine-scale rank counts:
-///    ranks are virtual (no per-rank stack or thread — suspended ranks are
-///    compact stack slices in arena pools), collectives are batched events
-///    resolved when the last participant arrives, and the scheduler's ready
-///    queue makes each step O(active events) rather than O(nranks). This is
-///    the engine for 100k+ simulated ranks (`--engine=event`).
+///    It is the reference the event engine is checked against (byte and
+///    statistics parity in tests/test_exec.cpp and tests/test_event_engine.cpp)
+///    and what ThreadSanitizer runs. Fails fast above a configurable thread
+///    cap (see `SpmdEngine::thread_cap`) instead of exhausting the machine
+///    mid-run.
 ///
-/// Because both engines run the *same* driver body, serial and threaded runs
-/// are byte-identical by construction (asserted by tests/test_exec.cpp).
+/// Because both engines run the *same* driver body, their runs are
+/// byte-identical by construction.
 ///
 /// Error semantics mirror `simmpi::run_spmd`: if any rank throws, peers
 /// blocked on a collective or recv observe `simmpi::CommAborted` and
@@ -76,10 +74,10 @@ class RankCtx {
   virtual std::uint64_t recv_token(int src, int tag) = 0;
   /// Tagged point-to-point byte payload (staging shipments to aggregators):
   /// buffered send, message boundaries preserved. The buffer is handed over:
-  /// engines whose mailboxes live in process memory (serial fibers, the event
-  /// engine) move it into the mailbox, so the receiver gets the very
-  /// allocation the sender filled; the simmpi communicator copies it into its
-  /// own message storage. A caller that keeps its bytes passes a copy.
+  /// the event engine, whose mailboxes live in process memory, moves it into
+  /// the mailbox, so the receiver gets the very allocation the sender filled;
+  /// the simmpi communicator copies it into its own message storage. A
+  /// caller that keeps its bytes passes a copy.
   virtual void send_bytes(std::vector<std::byte> data, int dest, int tag) = 0;
   /// Blocking tagged byte-payload receive (one message).
   virtual std::vector<std::byte> recv_bytes(int src, int tag) = 0;
@@ -130,7 +128,7 @@ class Engine {
  public:
   virtual ~Engine() = default;
   virtual int nranks() const = 0;
-  /// Human-readable engine name ("serial", "spmd", "event") for reports.
+  /// Human-readable engine name ("event", "spmd") for reports.
   virtual const char* name() const = 0;
   /// Execute `fn` once per rank. Blocks until every rank finishes; rethrows
   /// the first rank exception, if any.
@@ -147,25 +145,6 @@ class Engine {
 
  protected:
   obs::SelfProfiler* profiler_ = nullptr;
-};
-
-/// Fiber-scheduled engine: ranks run as cooperatively scheduled ucontext
-/// fibers on the calling thread. Deterministic, no thread overhead.
-class SerialEngine final : public Engine {
- public:
-  /// `stack_bytes` is the per-fiber stack size; the default comfortably fits
-  /// the plotfile/MACSio writer bodies. Fiber stacks are plain heap blocks
-  /// with no guard page (unlike SpmdEngine's OS thread stacks), so bodies
-  /// with very deep frames should raise `stack_bytes` rather than rely on a
-  /// fault to catch overflow.
-  explicit SerialEngine(int nranks, std::size_t stack_bytes = 128 * 1024);
-  int nranks() const override { return nranks_; }
-  const char* name() const override { return "serial"; }
-  void run(const RankFn& fn) override;
-
- private:
-  int nranks_;
-  std::size_t stack_bytes_;
 };
 
 /// Thread-per-rank engine over simmpi::run_spmd.
@@ -200,16 +179,21 @@ class SpmdEngine final : public Engine {
 /// matching receiver), and fresh ranks start only when nothing is ready, so
 /// one scheduling step is O(1) and a full run is O(total events), not
 /// O(nranks) per step. Deterministic by construction; byte- and stats-parity
-/// with SerialEngine is asserted by tests/test_event_engine.cpp.
+/// with SpmdEngine is asserted by tests/test_event_engine.cpp.
 ///
 /// Restrictions (checked): nranks < 2^24 and p2p tags in [0, 65535] — the
-/// mailbox key packs (src, dst, tag) into 64 bits. Under AddressSanitizer or
-/// on non-x86-64 targets the engine transparently falls back to pooled
-/// per-rank ucontext fibers (same semantics, more memory per suspended rank).
+/// mailbox key packs (src, dst, tag) into 64 bits. Under Address- or
+/// ThreadSanitizer or on non-x86-64 targets the engine transparently falls
+/// back to pooled per-rank ucontext fibers (same semantics, more memory per
+/// suspended rank).
+/// A single-rank run needs no special case: collectives release on arrival,
+/// and p2p calls fail their precondition (there is no peer to address).
 class EventEngine final : public Engine {
  public:
   /// `exec_stack_bytes` sizes the shared execution stack (the deepest live
-  /// rank must fit; the default is double SerialEngine's per-fiber default).
+  /// rank must fit; the default leaves ample room for the plotfile and
+  /// MACSio writer bodies). Under the ucontext fallback it is the size of
+  /// each pooled fiber stack.
   explicit EventEngine(int nranks, std::size_t exec_stack_bytes = 256 * 1024);
   int nranks() const override { return nranks_; }
   const char* name() const override { return "event"; }
@@ -220,47 +204,17 @@ class EventEngine final : public Engine {
   std::size_t stack_bytes_;
 };
 
-/// RankCtx over an existing simmpi communicator — lets code that is already
-/// inside `simmpi::run_spmd` (the legacy `run_*_spmd` entry points) reuse the
-/// engine-parameterized driver bodies.
-class CommCtx final : public RankCtx {
- public:
-  explicit CommCtx(simmpi::Comm& comm) : comm_(&comm) {}
-  int rank() const override { return comm_->rank(); }
-  int nranks() const override { return comm_->size(); }
-  void barrier() override { comm_->barrier(); }
-  std::uint64_t exscan_sum(std::uint64_t v) override {
-    return comm_->exscan_sum(v);
-  }
-  std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
-    return comm_->gather(v, root);
-  }
-  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                 int root) override {
-    return comm_->gatherv(bytes, root);
-  }
-  void send_token(std::uint64_t value, int dest, int tag) override {
-    comm_->send(std::span<const std::uint64_t>(&value, 1), dest, tag);
-  }
-  std::uint64_t recv_token(int src, int tag) override {
-    return comm_->recv<std::uint64_t>(src, tag).at(0);
-  }
-  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
-    comm_->send(std::span<const std::byte>(data), dest, tag);
-  }
-  std::vector<std::byte> recv_bytes(int src, int tag) override {
-    return comm_->recv<std::byte>(src, tag);
-  }
-
- private:
-  simmpi::Comm* comm_;
-};
-
+/// `kSerial` is not an engine: it is only the label ("serial") of one half
+/// of the Table III campaign grid's engine axis (campaign::table3_grid), kept
+/// so existing cell keys stay stable, and make_engine builds an EventEngine
+/// for it. Dropping the axis changes the campaign benchmark's definition and
+/// is left to a change that re-records its digest.
 enum class EngineKind { kSerial, kSpmd, kEvent };
 
+/// kEvent and kSerial build an EventEngine, kSpmd a SpmdEngine.
 std::unique_ptr<Engine> make_engine(EngineKind kind, int nranks);
 
-/// CLI surface for the `--engine` knob: "serial" | "spmd" | "event".
+/// CLI surface for the `--engine` knob: "event" | "spmd".
 /// Throws std::invalid_argument on anything else, naming the valid values.
 EngineKind engine_kind_from_name(const std::string& name);
 const char* engine_kind_name(EngineKind kind);

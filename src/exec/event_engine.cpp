@@ -1,10 +1,12 @@
 /// \file event_engine.cpp
 /// Discrete-event execution engine: O(active) scheduling for 100k+ ranks.
 ///
-/// The problem with one-fiber-per-rank (SerialEngine) at machine scale is not
-/// the scheduling discipline — it is the per-rank footprint: a 128 KiB stack
-/// per rank is 66 GB at 516k ranks, and the round-robin scan over all fibers
-/// makes every scheduling step O(nranks). This engine removes both:
+/// The repository's only in-process engine: every single-threaded rank body,
+/// from the calibrator's 8-rank replays to 131072-rank dumps, runs here. A
+/// naive one-fiber-per-rank scheduler fails at machine scale not on the
+/// scheduling discipline but on the per-rank footprint: a 128 KiB stack per
+/// rank is 66 GB at 516k ranks, and a round-robin scan over all fibers makes
+/// every scheduling step O(nranks). This engine removes both:
 ///
 ///  * **One shared execution stack.** A rank executes on a single reusable
 ///    stack. When it blocks (collective arrival, empty mailbox) only its
@@ -37,11 +39,12 @@
 /// Determinism: fresh ranks start in ascending order, collective releases
 /// wake in arrival order, and sends wake exactly one receiver — the schedule
 /// is a pure function of the driver body, so repeated runs are identical and
-/// byte-parity with SerialEngine holds wherever output order is fixed by data
-/// dependencies (which the MIF baton and aggregation protocols guarantee).
+/// byte-parity with the threaded SpmdEngine holds wherever output order is
+/// fixed by data dependencies (which the MIF baton and aggregation protocols
+/// guarantee).
 ///
-/// Error semantics mirror SerialEngine: the first rank exception aborts the
-/// communicator, every blocked rank is resumed to throw simmpi::CommAborted,
+/// Error semantics mirror simmpi::run_spmd: the first rank exception aborts
+/// the communicator, every blocked rank is resumed to throw simmpi::CommAborted,
 /// and run() rethrows the original error once all ranks unwound. A deadlock
 /// (ready queue empty, every rank started, none done) is detected in O(1)
 /// and reported the same way.
@@ -153,7 +156,10 @@ class SliceArena {
     const std::size_t bytes = static_cast<std::size_t>(cls) * kGrain;
     if (bump_left_ < bytes) {
       const std::size_t chunk = bytes > kChunk ? bytes : kChunk;
-      chunks_.push_back(std::make_unique<std::byte[]>(chunk));
+      // Uninitialized on purpose: every slice is written before it is read,
+      // and zeroing a fresh megabyte per run is a measurable share of the
+      // small-rank replays campaigns and the calibrator make.
+      chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(chunk));
       bump_ = chunks_.back().get();
       bump_left_ = chunk;
       allocated_ += chunk;
@@ -224,7 +230,9 @@ struct EventState {
         bytev_slots(static_cast<std::size_t>(n)) {
     coll_waiters.reserve(static_cast<std::size_t>(n));
 #ifndef AMRIO_EVENT_COMPAT_STACKS
-    stack_mem = std::make_unique<std::byte[]>(stack_bytes + 64);
+    // Uninitialized like the arena chunks: a fresh frame is seeded before a
+    // rank runs on it, and the canary is written below.
+    stack_mem = std::make_unique_for_overwrite<std::byte[]>(stack_bytes + 64);
     std::byte* raw = stack_mem.get();
     auto top = reinterpret_cast<std::uintptr_t>(raw + stack_bytes + 64);
     stack_top = reinterpret_cast<std::byte*>(top & ~std::uintptr_t{63});
@@ -394,9 +402,9 @@ struct EventState {
   }
 };
 
-/// Per-rank context bound to one virtual rank of an EventState. Identical
-/// semantics to SerialEngine's FiberCtx; only the suspension mechanics and
-/// the wake bookkeeping differ.
+/// Per-rank context bound to one virtual rank of an EventState: MPI lockstep
+/// semantics for the collectives, buffered sends and blocking receives for
+/// the p2p calls.
 class EventCtx final : public RankCtx {
  public:
   EventCtx(EventState* st, int rank) : st_(st), rank_(rank) {}

@@ -1,7 +1,8 @@
 #pragma once
 /// \file fiber_sanitizer.hpp
-/// AddressSanitizer fiber-switch annotations shared by the ucontext fiber
-/// schedulers (SerialEngine, and EventEngine's compatibility stacks).
+/// AddressSanitizer fiber-switch annotations for EventEngine's ucontext
+/// fallback (the pooled per-rank fiber stacks it uses under sanitizers and
+/// on non-x86-64 targets).
 ///
 /// ASan tracks one stack per thread. A fiber running on a heap block is
 /// invisible to it unless every switch is announced: without the

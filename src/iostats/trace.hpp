@@ -10,8 +10,8 @@
 /// per-rank append sinks (rank-hash addressed, so concurrent simmpi ranks
 /// almost never share a lock) and are merged into one deterministic stream on
 /// snapshot. The merge is a stable sort on (step, rank), which preserves each
-/// rank's program order — so serial and SPMD executions of the same workload
-/// yield identical `events()` streams.
+/// rank's program order — so event-engine and SPMD executions of the same
+/// workload yield identical `events()` streams.
 
 #include <atomic>
 #include <cstdint>
@@ -57,8 +57,8 @@ struct IoEvent {
 class TraceRecorder {
  public:
   /// `nsinks` tunes the sink count; the 64-sink default is right for
-  /// hardware-thread-scale concurrency (SpmdEngine), and the serial/event
-  /// engines never contend at all.
+  /// hardware-thread-scale concurrency (SpmdEngine), and the single-threaded
+  /// event engine never contends at all.
   explicit TraceRecorder(std::size_t nsinks = 64);
 
   void record(IoEvent event);

@@ -401,7 +401,7 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
         // Span emission happens here, on rank 0, from the same pure plan()
         // results the requests were built from — per-rank program order is
         // engine-invariant, so the merged stream is byte-identical across
-        // serial/spmd/event engines.
+        // the event and spmd engines.
         const std::string label = "dump " + std::to_string(dump);
         double phase_end = submit_time;
         for (std::size_t i = req_begin; i < stats.requests.size(); ++i)
@@ -836,15 +836,8 @@ DumpStats run_macsio(exec::Engine& engine, const Params& params,
 
 DumpStats run_macsio(const Params& params, pfs::StorageBackend& backend,
                      iostats::TraceRecorder* trace, obs::Probe probe) {
-  exec::SerialEngine engine(params.nprocs);
+  exec::EventEngine engine(params.nprocs);
   return run_macsio(engine, params, backend, trace, probe);
-}
-
-DumpStats run_macsio_spmd(simmpi::Comm& comm, const Params& params,
-                          pfs::StorageBackend& backend,
-                          iostats::TraceRecorder* trace, obs::Probe probe) {
-  exec::CommCtx ctx(comm);
-  return run_macsio_rank(ctx, params, backend, trace, probe);
 }
 
 }  // namespace amrio::macsio

@@ -22,10 +22,10 @@
 ///
 /// There is ONE driver body, written SPMD-style against `exec::RankCtx`
 /// (MIF baton-passing between group members, end-of-dump gather to rank 0).
-/// How the ranks execute is the engine's choice: `exec::SerialEngine` runs
-/// them as fibers on one thread (the calibrator's fast path), and
-/// `exec::SpmdEngine` runs them as real simmpi threads — byte-identical by
-/// construction.
+/// How the ranks execute is the engine's choice: `exec::EventEngine` runs
+/// them as virtual ranks on one thread (the calibrator's replays and the
+/// machine-scale dumps), and `exec::SpmdEngine` runs them as real simmpi
+/// threads — byte-identical by construction.
 
 #include <cstdint>
 #include <span>
@@ -39,7 +39,6 @@
 #include "obs/probe.hpp"
 #include "pfs/backend.hpp"
 #include "pfs/simfs.hpp"
-#include "simmpi/comm.hpp"
 #include "staging/restage.hpp"
 
 namespace amrio::macsio {
@@ -78,7 +77,7 @@ struct DumpStats {
 /// happens-before edges, and a per-dump "dump" phase span on the driver
 /// track (rank −1) covering the submission window. Spans are emitted by
 /// rank 0 from the gathered byte counts (codec plans are pure in the raw
-/// size), so the stream is byte-identical across serial/spmd/event engines.
+/// size), so the stream is byte-identical across the event and spmd engines.
 /// Metrics: macsio.dumps / macsio.dump_bytes counters plus the
 /// exec.gatherv.* ship counters from the collectives themselves.
 DumpStats run_macsio(exec::Engine& engine, const Params& params,
@@ -140,18 +139,10 @@ RestartStats run_restart(exec::Engine& engine, const Params& params,
 /// exposed so tests can hash expected documents with the same function.
 std::uint64_t restart_hash(std::span<const std::byte> data);
 
-/// Convenience: run on a fiber-scheduled SerialEngine sized params.nprocs.
+/// Convenience: run on an EventEngine sized params.nprocs.
 DumpStats run_macsio(const Params& params, pfs::StorageBackend& backend,
                      iostats::TraceRecorder* trace = nullptr,
                      obs::Probe probe = {});
-
-/// Per-rank entry point for code already inside simmpi::run_spmd with
-/// comm.size() == params.nprocs. Rank 0's return value carries the full
-/// statistics; other ranks return empty stats.
-DumpStats run_macsio_spmd(simmpi::Comm& comm, const Params& params,
-                          pfs::StorageBackend& backend,
-                          iostats::TraceRecorder* trace = nullptr,
-                          obs::Probe probe = {});
 
 /// Path of a task's dump file (group file under MIF, shared file under SIF,
 /// the rank's group subfile under two-phase aggregation).

@@ -1,5 +1,6 @@
 #include "macsio/interfaces.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -23,12 +24,15 @@ std::uint64_t IoInterface::task_doc_bytes(const PartSpec& spec, int rank,
   return sink.bytes();
 }
 
-namespace {
-
-/// Fixed-width (23 char) rendering of a value in [0, 1): "1.23456789012345678e-01".
-void format_value(char* buf, double v) {
-  std::snprintf(buf, kJsonValueWidth + 1, "%.17e", v);
+std::size_t format_json_value(char* buf, double v) {
+  // std::to_chars with an explicit precision is specified to match printf;
+  // it skips printf's format parsing and locale handling.
+  const auto res = std::to_chars(buf, buf + kJsonValueBufBytes, v,
+                                 std::chars_format::scientific, 17);
+  return static_cast<std::size_t>(res.ptr - buf);
 }
+
+namespace {
 
 // --------------------------------------------------------------- miftmpl
 
@@ -64,14 +68,14 @@ class MiftmplInterface final : public IoInterface {
                ",\"ny\":" + std::to_string(spec.ny) +
                ",\"nvars\":" + std::to_string(spec.nvars) + "},\"vars\":{");
     const std::uint64_t n = spec.values_per_var();
-    char value_buf[kJsonValueWidth + 1];
+    char value_buf[kJsonValueBufBytes];
     // In sized mode all values are the same token, so one pre-built chunk is
     // replayed for every part of every call (this is what keeps repeated
     // calibration runs and many-small-parts dumps cheap).
     static const std::string zero_chunk = [] {
-      char buf[kJsonValueWidth + 1];
-      format_value(buf, 0.0);
-      const std::string token = std::string(buf) + ",";
+      char buf[kJsonValueBufBytes];
+      const std::string token =
+          std::string(buf, format_json_value(buf, 0.0)) + ",";
       AMRIO_ENSURES(token.size() == kJsonValueWidth + 1);
       std::string chunk;
       while (chunk.size() < (1u << 16)) chunk += token;
@@ -96,7 +100,7 @@ class MiftmplInterface final : public IoInterface {
         std::string buf;
         buf.reserve(1 << 16);
         for (std::uint64_t i = 0; i < n; ++i) {
-          format_value(value_buf, rng.uniform());
+          format_json_value(value_buf, rng.uniform());
           buf.append(value_buf, kJsonValueWidth);
           buf.push_back(',');
           if (buf.size() >= (1u << 16)) {

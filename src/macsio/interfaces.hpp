@@ -9,6 +9,7 @@
 /// path feeds a real backend file or a pure byte counter; `part_bytes()` is
 /// guaranteed equal to what `write_part()` produces (tested).
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -100,5 +101,17 @@ std::unique_ptr<IoInterface> make_interface(Interface kind);
 
 /// Width of the fixed-width real encoding used by the json plugin.
 inline constexpr int kJsonValueWidth = 23;
+
+/// Buffer size format_json_value needs for any double: the longest "%.17e"
+/// rendering, "-1.79769313486231571e+308", is 25 characters.
+inline constexpr int kJsonValueBufBytes = 32;
+
+/// Renders `v` exactly as printf's "%.17e" does (same bytes, including
+/// "inf"/"nan" and signed zero) into buf[0, kJsonValueBufBytes), without a
+/// NUL terminator, and returns the character count. Every value
+/// util::Xoshiro256::uniform() returns — 0 or a multiple of 2^-53 in [0, 1)
+/// — takes exactly kJsonValueWidth characters; real-fill documents rely on
+/// that width.
+std::size_t format_json_value(char* buf, double v);
 
 }  // namespace amrio::macsio

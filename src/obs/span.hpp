@@ -9,8 +9,8 @@
 /// gives: ranks append to sharded, contention-free sinks; span ids are
 /// `(rank+1) << 32 | per-rank-seq`, so they depend only on per-rank program
 /// order (engine-invariant); `spans()` merges the sinks under a total order.
-/// The merged stream is byte-identical across the serial, spmd, and event
-/// engines for the same configuration.
+/// The merged stream is byte-identical across the event and spmd engines for
+/// the same configuration.
 
 #include <cstdint>
 #include <map>

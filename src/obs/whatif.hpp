@@ -24,7 +24,7 @@
 /// Accuracy contract: for single-resource 2x reliefs on the pinned 32-rank
 /// {direct, agg, bb} x {identity, ebl} grid, the prediction lands within
 /// 5% of an actual re-simulation with that knob changed (asserted by
-/// tests/test_obs.cpp on the serial and event engines). Known caveats are
+/// tests/test_obs.cpp on the event and spmd engines). Known caveats are
 /// documented in docs/OBSERVABILITY.md.
 
 #include <cstdint>

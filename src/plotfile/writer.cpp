@@ -551,7 +551,7 @@ WriteStats write_plotfile(pfs::StorageBackend& backend, const PlotfileSpec& spec
                           iostats::TraceRecorder* trace) {
   AMRIO_EXPECTS(!levels.empty());
   const auto layouts = layouts_of(levels);
-  exec::SerialEngine engine(engine_ranks_for(layouts));
+  exec::EventEngine engine(engine_ranks_for(layouts));
   return write_on_engine(engine, backend, spec, levels, layouts, trace,
                          /*checkpoint=*/false);
 }
@@ -568,25 +568,9 @@ WriteStats write_checkpoint(pfs::StorageBackend& backend,
                             iostats::TraceRecorder* trace) {
   AMRIO_EXPECTS(!levels.empty());
   const auto layouts = layouts_of(levels);
-  exec::SerialEngine engine(engine_ranks_for(layouts));
+  exec::EventEngine engine(engine_ranks_for(layouts));
   return write_on_engine(engine, backend, spec, levels, layouts, trace,
                          /*checkpoint=*/true);
-}
-
-WriteStats write_plotfile_spmd(simmpi::Comm& comm, pfs::StorageBackend& backend,
-                               const PlotfileSpec& spec,
-                               const std::vector<LevelPlotData>& levels,
-                               iostats::TraceRecorder* trace) {
-  const int ncomp = checked_ncomp(spec, levels, "plotfile");
-  const auto layouts = layouts_of(levels);
-  for (const auto& lay : layouts)
-    AMRIO_EXPECTS_MSG(lay.dm.nranks() == comm.size(),
-                      "write_plotfile_spmd: DM ranks " << lay.dm.nranks()
-                                                       << " != comm size "
-                                                       << comm.size());
-  exec::CommCtx ctx(comm);
-  return write_plotfile_rank(ctx, backend, spec, levels, layouts, ncomp, trace,
-                             /*checkpoint=*/false);
 }
 
 }  // namespace amrio::plotfile

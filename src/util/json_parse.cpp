@@ -23,7 +23,11 @@ double JsonValue::number_or(const std::string& key, double dflt) const {
 std::uint64_t JsonValue::u64_or(const std::string& key,
                                 std::uint64_t dflt) const {
   const JsonValue* v = find(key);
-  if (v == nullptr || v->kind != Kind::kNumber || v->num_v < 0) return dflt;
+  // The range check also rejects NaN; a double at or above 2^64 has no
+  // uint64_t value (the conversion would be undefined).
+  if (v == nullptr || v->kind != Kind::kNumber ||
+      !(v->num_v >= 0.0 && v->num_v < 0x1.0p64))
+    return dflt;
   return static_cast<std::uint64_t>(v->num_v);
 }
 
@@ -84,8 +88,15 @@ class Parser {
   JsonValue parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse; cap the depth so a hostile file is rejected
+        // instead of overflowing the stack.
+        if (++depth_ > kMaxDepth) fail("nesting deeper than 512 levels");
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -232,8 +243,10 @@ class Parser {
     return out;
   }
 
+  static constexpr int kMaxDepth = 512;
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -3,8 +3,9 @@
 /// Minimal recursive-descent JSON reader — the inverse of JsonWriter, used
 /// wherever the tree persists machine state it must read back (the campaign
 /// result cache). Supports the full JSON value grammar minus exotic number
-/// forms; inputs are trusted artifacts we wrote ourselves, so the error
-/// handling is "throw with position", not a hardened parser.
+/// forms. Malformed input (a corrupted or truncated cache file) throws with
+/// its byte position, and containers nest at most 512 deep, so hostile
+/// input is rejected instead of overflowing the stack.
 
 #include <cstdint>
 #include <string>
@@ -33,7 +34,8 @@ struct JsonValue {
   const JsonValue* find(const std::string& key) const;
 
   /// Typed member accessors with defaults — one-liners for readers of our
-  /// own artifacts. A present member of the wrong kind returns the default.
+  /// own artifacts. A present member of the wrong kind returns the default,
+  /// as does a number u64_or cannot represent (negative, >= 2^64).
   double number_or(const std::string& key, double dflt) const;
   std::uint64_t u64_or(const std::string& key, std::uint64_t dflt) const;
   std::string string_or(const std::string& key, const std::string& dflt) const;

@@ -1,6 +1,6 @@
 /// Tests for the sharded campaign layer: executor determinism (--jobs 1 and
-/// --jobs 8 produce byte-identical canonical CSV rows on both the serial and
-/// event engines), cache-key completeness (every macsio::Params and
+/// --jobs 8 produce byte-identical canonical CSV rows on both the event and
+/// spmd engines), cache-key completeness (every macsio::Params and
 /// core::StudyOptions field moves the key — the property that makes cache
 /// hits safe to serve), in-flight dedup of duplicate configurations, JSON
 /// cache persistence across processes (cold run executes everything, warm
@@ -92,7 +92,7 @@ void expect_results_equal(const cg::CellResult& a, const cg::CellResult& b) {
 // across a stealing pool (--jobs 8), on either engine.
 TEST(CampaignDeterminism, Jobs1VsJobs8ByteIdenticalRows) {
   for (const ex::EngineKind engine :
-       {ex::EngineKind::kSerial, ex::EngineKind::kEvent}) {
+       {ex::EngineKind::kEvent, ex::EngineKind::kSpmd}) {
     const std::vector<cg::CellConfig> cells =
         cg::make_grid(small_grid(engine));
     ASSERT_EQ(cells.size(), 24u);
@@ -115,18 +115,18 @@ TEST(CampaignDeterminism, Jobs1VsJobs8ByteIdenticalRows) {
   }
 }
 
-// Serial and event engines are stats-identical by construction; campaign
+// Event and spmd engines are stats-identical by construction; campaign
 // cells differing only in the engine must carry identical result columns.
 TEST(CampaignDeterminism, EnginesProduceIdenticalResults) {
-  const auto serial_cells = cg::make_grid(small_grid(ex::EngineKind::kSerial));
   const auto event_cells = cg::make_grid(small_grid(ex::EngineKind::kEvent));
-  ASSERT_EQ(serial_cells.size(), event_cells.size());
+  const auto spmd_cells = cg::make_grid(small_grid(ex::EngineKind::kSpmd));
+  ASSERT_EQ(event_cells.size(), spmd_cells.size());
   cg::CampaignExecutor executor({/*jobs=*/4, /*cache_path=*/""});
-  const auto serial_out = executor.run(serial_cells);
   const auto event_out = executor.run(event_cells);
-  for (std::size_t i = 0; i < serial_out.size(); ++i) {
-    SCOPED_TRACE(serial_cells[i].name);
-    expect_results_equal(serial_out[i].result, event_out[i].result);
+  const auto spmd_out = executor.run(spmd_cells);
+  for (std::size_t i = 0; i < event_out.size(); ++i) {
+    SCOPED_TRACE(event_cells[i].name);
+    expect_results_equal(event_out[i].result, spmd_out[i].result);
   }
 }
 
@@ -135,7 +135,7 @@ TEST(CampaignDeterminism, CsvArtifactHasNoWallClockAndReproduces) {
   for (const std::string& col : cg::csv_columns())
     EXPECT_EQ(col.find("wall"), std::string::npos) << col;
 
-  const auto cells = cg::make_grid(small_grid(ex::EngineKind::kSerial));
+  const auto cells = cg::make_grid(small_grid(ex::EngineKind::kEvent));
   cg::CampaignExecutor executor({/*jobs=*/2, /*cache_path=*/""});
   const auto outcomes = executor.run(cells);
   const std::string a = testing::TempDir() + "campaign_rows_a.csv";
@@ -224,7 +224,7 @@ TEST(CampaignCacheKey, EveryConfigurationFieldMovesTheKey) {
       {"seed", [](cg::CellConfig& c) { c.params.seed = 99; }},
       // core::StudyOptions, declaration order
       {"study.engine",
-       [](cg::CellConfig& c) { c.study.engine = ex::EngineKind::kEvent; }},
+       [](cg::CellConfig& c) { c.study.engine = ex::EngineKind::kSpmd; }},
       {"study.codec", [](cg::CellConfig& c) { c.study.codec = "ebl"; }},
       {"study.codec_error_bound",
        [](cg::CellConfig& c) { c.study.codec_error_bound = 1.0e-5; }},
@@ -406,7 +406,7 @@ TEST(CampaignCache, ColdThenWarmFullTable3Grid) {
 TEST(CampaignPredict, HeldOutRankWithinTolerance) {
   constexpr double kTolerance = 0.35;  // stated: |pred - actual| / actual
   for (const ex::EngineKind engine :
-       {ex::EngineKind::kSerial, ex::EngineKind::kEvent}) {
+       {ex::EngineKind::kEvent, ex::EngineKind::kSpmd}) {
     SCOPED_TRACE(ex::engine_kind_name(engine));
     cg::GridSpec spec;
     spec.interfaces = {mc::Interface::kMiftmpl};
@@ -443,7 +443,7 @@ TEST(CampaignPredict, RestartTimesArePredicted) {
   spec.interfaces = {mc::Interface::kMiftmpl};
   spec.stagings = {{"direct", mc::FileMode::kMif, false, false}};
   spec.codecs = {{"ebl@1e-3", "ebl", 1.0e-3, ""}};
-  spec.engines = {ex::EngineKind::kSerial};
+  spec.engines = {ex::EngineKind::kEvent};
   spec.rank_counts = {8, 16, 32};
   auto train = cg::make_grid(spec);
   for (auto& c : train) c.study.restart = true;
@@ -481,7 +481,7 @@ TEST(CampaignPredict, AnalyticBytesMatchExecutionExactly) {
       {"ebl@1e-3", "ebl", 1.0e-3, ""},
       {"ebl@vars", "ebl", 1.0e-3, "1e-2,1e-5"},
   };
-  spec.engines = {ex::EngineKind::kSerial};
+  spec.engines = {ex::EngineKind::kEvent};
   spec.rank_counts = {5, 8};
   const auto cells = cg::make_grid(spec);
 

@@ -6,7 +6,7 @@
 /// task_doc_bytes() while the wire/tier carries encoded bytes, store-mode
 /// drains through StagingBackend stay reader-compatible, and the plotfile
 /// per-Cell_D hook keeps predict parity. Engine-facing cases run on both
-/// SerialEngine and SpmdEngine.
+/// EventEngine and SpmdEngine.
 
 #include <gtest/gtest.h>
 
@@ -545,9 +545,9 @@ TEST_P(CodecMacsio, UnaggregatedRequestsCarryEncodedSizesAndCpuDelay) {
 
 TEST(CodecMacsioEngines, EblRunsAreByteIdenticalAcrossEngines) {
   const auto params = codec_params(16, 4, "ebl");
-  p::MemoryBackend serial_be(true);
-  ex::SerialEngine serial(params.nprocs);
-  const auto ref = mc::run_macsio(serial, params, serial_be);
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(params.nprocs);
+  const auto ref = mc::run_macsio(event, params, event_be);
 
   p::MemoryBackend spmd_be(true);
   ex::SpmdEngine spmd(params.nprocs);
@@ -558,14 +558,14 @@ TEST(CodecMacsioEngines, EblRunsAreByteIdenticalAcrossEngines) {
   EXPECT_EQ(got.task_bytes, ref.task_bytes);
   EXPECT_EQ(got.codec.total.raw_bytes, ref.codec.total.raw_bytes);
   EXPECT_EQ(got.codec.total.encoded_bytes, ref.codec.total.encoded_bytes);
-  const auto paths = serial_be.list("");
+  const auto paths = event_be.list("");
   ASSERT_EQ(paths, spmd_be.list(""));
   for (const auto& path : paths)
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(spmd_be.read(path), event_be.read(path)) << path;
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CodecMacsio,
-                         ::testing::Values(ex::EngineKind::kSerial,
+                         ::testing::Values(ex::EngineKind::kEvent,
                                            ex::EngineKind::kSpmd));
 
 // ------------------------------------------------ StagingBackend round trip
@@ -792,5 +792,5 @@ TEST_P(CodecPlotfile, AutoSmoothnessReadsRealFabData) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CodecPlotfile,
-                         ::testing::Values(ex::EngineKind::kSerial,
+                         ::testing::Values(ex::EngineKind::kEvent,
                                            ex::EngineKind::kSpmd));

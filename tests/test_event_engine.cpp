@@ -1,6 +1,6 @@
 /// Tests for exec::EventEngine (the discrete-event engine for machine-scale
 /// rank counts) beyond the shared EngineCollectives suite in test_exec.cpp:
-/// the three-way engine-parity matrix — serial vs spmd vs event over
+/// the engine-parity matrix — event vs the threaded spmd reference over
 /// MIF/SIF × {direct, agg, bb} × {identity, ebl} at 32 ranks, write AND
 /// restart, byte-identical documents and identical stats — plus the
 /// SpmdEngine thread cap, deadlock detection, determinism, the --engine CLI
@@ -127,7 +127,7 @@ void expect_codec_totals_equal(const amrio::codec::CodecTotals& a,
 }
 
 /// Everything an engine run produces — stored document bytes, write-side
-/// stats, restart stats, request timelines — must match the serial reference.
+/// stats, restart stats, request timelines — must match the spmd reference.
 void expect_parity(const EngineRunResult& got, const p::MemoryBackend& got_be,
                    const EngineRunResult& ref, const p::MemoryBackend& ref_be) {
   // write side
@@ -164,30 +164,26 @@ void expect_parity(const EngineRunResult& got, const p::MemoryBackend& got_be,
 
 }  // namespace
 
-// --------------------------------------------- three-way engine parity
+// ------------------------------------------------ event vs spmd parity
 
-class ThreeWayParity
+class EventSpmdParity
     : public ::testing::TestWithParam<
           std::tuple<mc::FileMode, Staging, std::string>> {};
 
-TEST_P(ThreeWayParity, SerialSpmdEventAgreeOnWriteAndRestart) {
+TEST_P(EventSpmdParity, EventMatchesSpmdOnWriteAndRestart) {
   const auto [mode, staging, codec] = GetParam();
   const auto params = matrix_params(mode, staging, codec);
 
-  p::MemoryBackend serial_be(true);
-  const auto ref = run_matrix_point(ex::EngineKind::kSerial, params, serial_be);
-
   p::MemoryBackend spmd_be(true);
-  const auto spmd = run_matrix_point(ex::EngineKind::kSpmd, params, spmd_be);
-  expect_parity(spmd, spmd_be, ref, serial_be);
+  const auto ref = run_matrix_point(ex::EngineKind::kSpmd, params, spmd_be);
 
   p::MemoryBackend event_be(true);
   const auto event = run_matrix_point(ex::EngineKind::kEvent, params, event_be);
-  expect_parity(event, event_be, ref, serial_be);
+  expect_parity(event, event_be, ref, spmd_be);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, ThreeWayParity,
+    Matrix, EventSpmdParity,
     ::testing::Values(
         // MIF × {direct, agg, bb} × {identity, ebl}
         std::tuple{mc::FileMode::kMif, Staging::kDirect, std::string("identity")},
@@ -343,19 +339,32 @@ TEST(SpmdEngine, FailsFastAboveThreadCap) {
 // ------------------------------------------------------- CLI surface
 
 TEST(EngineKindCli, NamesRoundTrip) {
-  EXPECT_EQ(ex::engine_kind_from_name("serial"), ex::EngineKind::kSerial);
   EXPECT_EQ(ex::engine_kind_from_name("spmd"), ex::EngineKind::kSpmd);
   EXPECT_EQ(ex::engine_kind_from_name("event"), ex::EngineKind::kEvent);
-  for (const auto kind : {ex::EngineKind::kSerial, ex::EngineKind::kSpmd,
-                          ex::EngineKind::kEvent}) {
+  for (const auto kind : {ex::EngineKind::kSpmd, ex::EngineKind::kEvent}) {
     EXPECT_EQ(ex::engine_kind_from_name(ex::engine_kind_name(kind)), kind);
     EXPECT_STREQ(ex::make_engine(kind, 2)->name(), ex::engine_kind_name(kind));
   }
 }
 
+TEST(EngineKindCli, SerialIsOnlyAGridLabel) {
+  // kSerial names one half of the campaign grid's engine axis; it keeps its
+  // "serial" label but runs on the event engine, and --engine rejects it.
+  EXPECT_STREQ(ex::engine_kind_name(ex::EngineKind::kSerial), "serial");
+  EXPECT_STREQ(ex::make_engine(ex::EngineKind::kSerial, 2)->name(), "event");
+  EXPECT_THROW(ex::engine_kind_from_name("serial"), std::invalid_argument);
+}
+
 TEST(EngineKindCli, UnknownNameThrows) {
   EXPECT_THROW(ex::engine_kind_from_name("fiber"), std::invalid_argument);
   EXPECT_THROW(ex::engine_kind_from_name(""), std::invalid_argument);
+  try {
+    (void)ex::engine_kind_from_name("threads");
+    FAIL() << "expected an unknown engine name to throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("event, spmd"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------- study options compose (satellite)
@@ -374,8 +383,10 @@ TEST(ProxyStudy, EngineCodecRestartComposeInOneEntryPoint) {
 
   const auto plain = core::calibrate_and_validate(run, 1.0, 1.2);
 
+  // plain runs on the default event engine; composed on the spmd threads.
+  EXPECT_EQ(core::StudyOptions{}.engine, ex::EngineKind::kEvent);
   core::StudyOptions opts;
-  opts.engine = ex::EngineKind::kEvent;
+  opts.engine = ex::EngineKind::kSpmd;
   opts.codec = "ebl";
   opts.restart = true;
   const auto composed = core::calibrate_and_validate(run, opts, 1.0, 1.2);

@@ -1,7 +1,8 @@
-/// Tests for the unified execution engine (exec::SerialEngine fibers,
-/// exec::SpmdEngine threads): collective semantics, error propagation, and
-/// the headline guarantee — serial and SPMD executions of the MACSio and
-/// plotfile drivers are byte-identical because they run the same body.
+/// Tests for the unified execution engine (exec::EventEngine virtual ranks,
+/// exec::SpmdEngine threads): collective semantics, the single-rank case,
+/// error propagation, and the headline guarantee — event-engine and SPMD
+/// executions of the MACSio and plotfile drivers are byte-identical because
+/// they run the same body.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "pfs/backend.hpp"
 #include "plotfile/writer.hpp"
+#include "util/assert.hpp"
 #include "util/path.hpp"
 
 namespace ex = amrio::exec;
@@ -118,9 +120,104 @@ TEST_P(EngineCollectives, RankExceptionPropagates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, EngineCollectives,
-                         ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd,
+                         ::testing::Values(ex::EngineKind::kSpmd,
                                            ex::EngineKind::kEvent));
+
+// ------------------------------------------------ single-rank event engine
+//
+// One rank is an ordinary EventEngine run: every collective releases on the
+// caller's own arrival, and every p2p call fails its precondition because a
+// rank cannot address itself.
+
+TEST(EventEngineOneRank, CollectivesReleaseOnArrival) {
+  ex::EventEngine engine(1);
+  int bodies = 0;
+  engine.run([&](ex::RankCtx& ctx) {
+    ++bodies;
+    EXPECT_EQ(ctx.rank(), 0);
+    EXPECT_EQ(ctx.nranks(), 1);
+    ctx.barrier();
+    EXPECT_EQ(ctx.exscan_sum(42), 0u);
+    EXPECT_EQ(ctx.gather(7, 0), std::vector<std::uint64_t>{7});
+    const std::vector<std::byte> mine = {std::byte{1}, std::byte{2},
+                                         std::byte{3}};
+    EXPECT_EQ(ctx.gatherv(mine, 0), mine);
+    EXPECT_TRUE(ctx.gatherv({}, 0).empty());
+    ctx.barrier();
+  });
+  EXPECT_EQ(bodies, 1);
+}
+
+TEST(EventEngineOneRank, GroupCollectivesOfOneKeepTheOwnBuffer) {
+  ex::EventEngine engine(1);
+  amrio::obs::MetricsRegistry metrics;
+  const amrio::obs::Probe probe{nullptr, &metrics};
+  engine.run([&](ex::RankCtx& ctx) {
+    const std::vector<int> members = {0};
+    std::vector<std::byte> mine(5, std::byte{9});
+    const std::byte* filled = mine.data();
+    int calls = 0;
+    ex::gatherv_group(
+        ctx, std::move(mine), members, 0, 3,
+        [&](int member, std::vector<std::byte> payload) {
+          ++calls;
+          EXPECT_EQ(member, 0);
+          EXPECT_EQ(payload.data(), filled);
+        },
+        probe);
+    EXPECT_EQ(calls, 1);
+    const std::vector<std::byte> doc = {std::byte{4}, std::byte{2}};
+    std::vector<std::vector<std::byte>> payloads = {doc};
+    EXPECT_EQ(ex::scatterv_group(ctx, std::move(payloads), members, 0, 4,
+                                 probe),
+              doc);
+  });
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.counters.at("exec.gatherv.calls"), 1);
+  EXPECT_EQ(snap.counters.at("exec.gatherv.messages"), 0);
+  EXPECT_EQ(snap.counters.at("exec.scatterv.calls"), 1);
+  EXPECT_EQ(snap.counters.at("exec.scatterv.bytes"), 0);
+}
+
+TEST(EventEngineOneRank, CollectiveRootOutOfRangeIsRejected) {
+  ex::EventEngine engine(1);
+  EXPECT_THROW(engine.run([](ex::RankCtx& ctx) { (void)ctx.gather(1, 1); }),
+               amrio::ContractViolation);
+  EXPECT_THROW(
+      engine.run([](ex::RankCtx& ctx) { (void)ctx.gatherv({}, -1); }),
+      amrio::ContractViolation);
+}
+
+TEST(EventEngineOneRank, PointToPointMisuseIsRejected) {
+  ex::EventEngine engine(1);
+  // To itself (the only rank) and to a rank that does not exist.
+  for (const int peer : {0, 1}) {
+    SCOPED_TRACE("peer " + std::to_string(peer));
+    EXPECT_THROW(engine.run([&](ex::RankCtx& ctx) {
+                   ctx.send_token(1, peer, 0);
+                 }),
+                 amrio::ContractViolation);
+    EXPECT_THROW(engine.run([&](ex::RankCtx& ctx) {
+                   (void)ctx.recv_token(peer, 0);
+                 }),
+                 amrio::ContractViolation);
+    EXPECT_THROW(engine.run([&](ex::RankCtx& ctx) {
+                   ctx.send_bytes({}, peer, 0);
+                 }),
+                 amrio::ContractViolation);
+    EXPECT_THROW(engine.run([&](ex::RankCtx& ctx) {
+                   (void)ctx.recv_bytes(peer, 0);
+                 }),
+                 amrio::ContractViolation);
+  }
+  // The engine stays usable after a failed run.
+  int bodies = 0;
+  engine.run([&](ex::RankCtx& ctx) {
+    ctx.barrier();
+    ++bodies;
+  });
+  EXPECT_EQ(bodies, 1);
+}
 
 // ------------------------------------------- owned group collectives
 
@@ -234,7 +331,7 @@ TEST_P(GroupCollectives, GathervStreamsInMemberOrderAndCounts) {
   EXPECT_EQ(run.metrics.counters.at("exec.gatherv.bytes"), 5071);
 }
 
-TEST_P(GroupCollectives, ScattervDeliversAndCountsLikeSerialEngine) {
+TEST_P(GroupCollectives, ScattervDeliversAndCountsLikeSpmdEngine) {
   auto scatter = [](ex::RankCtx& ctx, const GroupOf& g, amrio::obs::Probe pr) {
     std::vector<std::vector<std::byte>> payloads;
     if (ctx.rank() == g.root)
@@ -251,16 +348,16 @@ TEST_P(GroupCollectives, ScattervDeliversAndCountsLikeSerialEngine) {
   EXPECT_EQ(run.metrics.counters.at("exec.scatterv.calls"), 3);
   EXPECT_EQ(run.metrics.counters.at("exec.scatterv.messages"), 9);
   EXPECT_EQ(run.metrics.counters.at("exec.scatterv.bytes"), non_root_bytes());
-  const auto ref = run_group(ex::EngineKind::kSerial, scatter);
+  const auto ref = run_group(ex::EngineKind::kSpmd, scatter);
   EXPECT_EQ(run.got, ref.got);
   EXPECT_EQ(run.metrics.counters, ref.metrics.counters);
 }
 
 TEST_P(GroupCollectives, GathervHandsBuffersOver) {
   // Each member records where its payload lives before moving it in. The
-  // root keeps its own buffer on every engine; the in-process mailboxes
-  // (serial fibers, event engine) deliver the senders' allocations too,
-  // while the simmpi communicator behind the spmd engine copies.
+  // root keeps its own buffer on every engine; the event engine's in-process
+  // mailboxes deliver the senders' allocations too, while the simmpi
+  // communicator behind the spmd engine copies.
   std::map<int, const std::byte*> filled;
   std::mutex mu;
   const auto run = run_group(
@@ -287,8 +384,7 @@ TEST_P(GroupCollectives, GathervHandsBuffersOver) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, GroupCollectives,
-                         ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd,
+                         ::testing::Values(ex::EngineKind::kSpmd,
                                            ex::EngineKind::kEvent));
 
 TEST(EventEngine, GathervRootVisitsBoundDocumentsInFlight) {
@@ -333,12 +429,14 @@ TEST(EventEngine, GathervRootVisitsBoundDocumentsInFlight) {
   EXPECT_EQ(late, 0);
 }
 
-TEST(SerialEngine, DeterministicSchedule) {
-  // fibers are resumed in rank order between suspensions: record the order
-  // ranks pass a barrier window and require it to be identical across runs
+TEST(EventEngine, DeterministicSchedule) {
+  // Fresh ranks start in ascending order and suspend at the first barrier;
+  // the last arrival (rank 5) releases it and runs on without yielding, then
+  // the woken ranks resume in arrival order. The window order is exactly
+  // that, on every run.
   auto order_of = []() {
     std::vector<int> order;
-    ex::SerialEngine engine(6);
+    ex::EventEngine engine(6);
     engine.run([&](ex::RankCtx& ctx) {
       ctx.barrier();
       order.push_back(ctx.rank());  // single-threaded: no race
@@ -346,15 +444,24 @@ TEST(SerialEngine, DeterministicSchedule) {
     });
     return order;
   };
-  EXPECT_EQ(order_of(), order_of());
+  const std::vector<int> expected = {5, 0, 1, 2, 3, 4};
+  EXPECT_EQ(order_of(), expected);
+  EXPECT_EQ(order_of(), expected);
 }
 
-TEST(SerialEngine, MismatchedCollectivesDeadlockDetected) {
-  ex::SerialEngine engine(3);
-  EXPECT_THROW(engine.run([](ex::RankCtx& ctx) {
-                 if (ctx.rank() == 0) (void)ctx.recv_token(1, 9);  // never sent
-               }),
-               std::runtime_error);
+TEST(EventEngine, MismatchedCollectivesDeadlockDetected) {
+  // Rank 0 calls one barrier more than its peers: once they finish, it waits
+  // at a collective no one else will reach.
+  ex::EventEngine engine(3);
+  try {
+    engine.run([](ex::RankCtx& ctx) {
+      ctx.barrier();
+      if (ctx.rank() == 0) ctx.barrier();
+    });
+    FAIL() << "expected the mismatched barrier to be reported";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+  }
 }
 
 // ------------------------------------------------- driver byte-identity
@@ -390,14 +497,14 @@ class EngineParity
 
 /// The stress test of the contention-free substrate: 32+ ranks dumping
 /// concurrently (MIF N-to-N, grouped MIF, and SIF open_append chains)
-/// through both backends must match the serial engine byte for byte.
-TEST_P(EngineParity, SpmdMatchesSerialOnMemoryBackend) {
+/// through both backends must match the event engine byte for byte.
+TEST_P(EngineParity, SpmdMatchesEventOnMemoryBackend) {
   const auto [mode, mif_files] = GetParam();
   const auto params = stress_params(mode, /*nprocs=*/32, mif_files);
 
-  p::MemoryBackend serial_be(false);
-  ex::SerialEngine serial(params.nprocs);
-  const auto ref = mc::run_macsio(serial, params, serial_be);
+  p::MemoryBackend event_be(false);
+  ex::EventEngine event(params.nprocs);
+  const auto ref = mc::run_macsio(event, params, event_be);
 
   p::MemoryBackend spmd_be(false);
   ex::SpmdEngine spmd(params.nprocs);
@@ -407,21 +514,21 @@ TEST_P(EngineParity, SpmdMatchesSerialOnMemoryBackend) {
   EXPECT_EQ(got.nfiles, ref.nfiles);
   EXPECT_EQ(got.bytes_per_dump, ref.bytes_per_dump);
   EXPECT_EQ(got.task_bytes, ref.task_bytes);
-  expect_backends_equal(spmd_be, serial_be);
-  EXPECT_EQ(ref.total_bytes, serial_be.total_bytes());
-  EXPECT_EQ(ref.nfiles, serial_be.file_count());
+  expect_backends_equal(spmd_be, event_be);
+  EXPECT_EQ(ref.total_bytes, event_be.total_bytes());
+  EXPECT_EQ(ref.nfiles, event_be.file_count());
 }
 
-TEST_P(EngineParity, SpmdMatchesSerialOnPosixBackend) {
+TEST_P(EngineParity, SpmdMatchesEventOnPosixBackend) {
   const auto [mode, mif_files] = GetParam();
   const auto params = stress_params(mode, /*nprocs=*/32, mif_files);
 
-  const std::string root_a = amrio::util::make_temp_dir("amrio_exec_serial");
+  const std::string root_a = amrio::util::make_temp_dir("amrio_exec_event");
   const std::string root_b = amrio::util::make_temp_dir("amrio_exec_spmd");
   {
-    p::PosixBackend serial_be(root_a);
-    ex::SerialEngine serial(params.nprocs);
-    const auto ref = mc::run_macsio(serial, params, serial_be);
+    p::PosixBackend event_be(root_a);
+    ex::EventEngine event(params.nprocs);
+    const auto ref = mc::run_macsio(event, params, event_be);
 
     p::PosixBackend spmd_be(root_b);
     ex::SpmdEngine spmd(params.nprocs);
@@ -429,9 +536,9 @@ TEST_P(EngineParity, SpmdMatchesSerialOnPosixBackend) {
 
     EXPECT_EQ(got.total_bytes, ref.total_bytes);
     EXPECT_EQ(got.nfiles, ref.nfiles);
-    expect_backends_equal(spmd_be, serial_be);
-    for (const auto& path : serial_be.list(""))
-      EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    expect_backends_equal(spmd_be, event_be);
+    for (const auto& path : event_be.list(""))
+      EXPECT_EQ(spmd_be.read(path), event_be.read(path)) << path;
   }
   amrio::util::remove_all(root_a);
   amrio::util::remove_all(root_b);
@@ -445,16 +552,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EngineParity, StoredContentsIdenticalAcrossEngines) {
   const auto params = stress_params(mc::FileMode::kMif, 12, 3);
-  p::MemoryBackend serial_be(true);
-  ex::SerialEngine serial(params.nprocs);
-  mc::run_macsio(serial, params, serial_be);
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(params.nprocs);
+  mc::run_macsio(event, params, event_be);
 
   p::MemoryBackend spmd_be(true);
   ex::SpmdEngine spmd(params.nprocs);
   mc::run_macsio(spmd, params, spmd_be);
 
-  for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+  ASSERT_EQ(spmd_be.list(""), event_be.list(""));
+  for (const auto& path : event_be.list(""))
+    EXPECT_EQ(spmd_be.read(path), event_be.read(path)) << path;
 }
 
 TEST(EngineParity, RestartReadBackIdenticalAcrossEngines) {
@@ -469,8 +577,7 @@ TEST(EngineParity, RestartReadBackIdenticalAcrossEngines) {
     params.codec = "lossless";
     params.restart = true;
     std::vector<mc::RestartStats> runs;
-    for (const auto kind : {ex::EngineKind::kSerial, ex::EngineKind::kSpmd,
-                            ex::EngineKind::kEvent}) {
+    for (const auto kind : {ex::EngineKind::kSpmd, ex::EngineKind::kEvent}) {
       p::MemoryBackend be(true);
       const auto engine = ex::make_engine(kind, params.nprocs);
       (void)mc::run_macsio(*engine, params, be);
@@ -493,9 +600,9 @@ TEST(EngineParity, TraceStreamsIdenticalAcrossEngines) {
   p::MemoryBackend be_b(false);
   amrio::iostats::TraceRecorder tr_a;
   amrio::iostats::TraceRecorder tr_b;
-  ex::SerialEngine serial(params.nprocs);
+  ex::EventEngine event(params.nprocs);
   ex::SpmdEngine spmd(params.nprocs);
-  mc::run_macsio(serial, params, be_a, &tr_a);
+  mc::run_macsio(event, params, be_a, &tr_a);
   mc::run_macsio(spmd, params, be_b, &tr_b);
 
   const auto ea = tr_a.events();
@@ -528,9 +635,9 @@ TEST(EngineParity, PlotfileWriteIdenticalAcrossEngines) {
   spec.dir = "engine_plt00000";
   spec.var_names = {"a", "b"};
 
-  p::MemoryBackend serial_be(true);
-  ex::SerialEngine serial(nranks);
-  const auto ref = pf::write_plotfile(serial, serial_be, spec, {{geom, &mf}});
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(nranks);
+  const auto ref = pf::write_plotfile(event, event_be, spec, {{geom, &mf}});
 
   p::MemoryBackend spmd_be(true);
   ex::SpmdEngine spmd(nranks);
@@ -541,9 +648,9 @@ TEST(EngineParity, PlotfileWriteIdenticalAcrossEngines) {
   EXPECT_EQ(got.data_bytes, ref.data_bytes);
   EXPECT_EQ(got.nfiles, ref.nfiles);
   EXPECT_EQ(got.rank_level_bytes, ref.rank_level_bytes);
-  expect_backends_equal(spmd_be, serial_be);
-  for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+  expect_backends_equal(spmd_be, event_be);
+  for (const auto& path : event_be.list(""))
+    EXPECT_EQ(spmd_be.read(path), event_be.read(path)) << path;
 }
 
 // ----------------------------------------------------- OutFile move state

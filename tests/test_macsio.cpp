@@ -1,18 +1,25 @@
 /// Tests for the MACSio-compatible proxy: CLI round-trip (Table II args),
 /// part sizing, interface byte-exactness, growth series, the Fig. 3 output
-/// pattern, MIF/SIF modes, and serial-vs-SPMD equivalence.
+/// pattern, MIF/SIF modes, the json value formatter, and event-vs-SPMD
+/// equivalence.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
 #include "macsio/params.hpp"
 #include "macsio/part.hpp"
-#include "simmpi/comm.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace mc = amrio::macsio;
 namespace p = amrio::pfs;
@@ -191,6 +198,62 @@ TEST(Interfaces, JsonIsParseableEnvelope) {
   EXPECT_NE(text.find("null]"), std::string::npos);
 }
 
+namespace {
+
+std::string json_value(double v) {
+  char buf[mc::kJsonValueBufBytes];
+  return std::string(buf, mc::format_json_value(buf, v));
+}
+
+std::string printf_value(double v) {
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof buf, "%.17e", v);
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+}  // namespace
+
+TEST(JsonValue, MatchesPrintfByteForByte) {
+  using lim = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1.0 / 3.0,
+      std::nextafter(1.0, 0.0),
+      lim::denorm_min(), -lim::denorm_min(), 3.0 * lim::denorm_min(),
+      lim::min() / 3.0, lim::min(), -lim::min(),
+      1e-100, 1e-300, 1e308, -1e308, lim::max(), -lim::max(),
+      lim::infinity(), -lim::infinity(), lim::quiet_NaN(),
+      -lim::quiet_NaN()};
+  amrio::util::Xoshiro256 rng(20221);
+  for (int i = 0; i < 200000; ++i) values.push_back(rng.uniform());
+  // arbitrary bit patterns: every exponent, both signs, NaN payloads
+  for (int i = 0; i < 50000; ++i)
+    values.push_back(std::bit_cast<double>(rng.next()));
+  for (const double v : values)
+    ASSERT_EQ(json_value(v), printf_value(v))
+        << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+  // the longest rendering of any double fits the documented buffer
+  EXPECT_EQ(json_value(-lim::max()).size(), 25u);
+  EXPECT_LE(25, mc::kJsonValueBufBytes);
+}
+
+TEST(JsonValue, FixedWidthHoldsForEveryUniformValue) {
+  // uniform() returns 0 or k * 2^-53 for k in [1, 2^53): a mantissa of 19
+  // characters and a two-digit exponent down to 2^-53 ~ 1.1e-16.
+  std::vector<double> values = {0.0, 0x1.0p-53, 1.0 - 0x1.0p-53, 0.5};
+  for (int k = 1; k <= 53; ++k) values.push_back(std::ldexp(1.0, -k));
+  for (int k = 1; k <= 53; ++k)
+    values.push_back(std::ldexp(std::ldexp(1.0, k) - 1.0, -53));
+  amrio::util::Xoshiro256 rng(7);
+  for (int i = 0; i < 200000; ++i) values.push_back(rng.uniform());
+  for (const double v : values)
+    ASSERT_EQ(json_value(v).size(), static_cast<std::size_t>(mc::kJsonValueWidth))
+        << json_value(v);
+  // The width is a property of uniform()'s range, not of [0, 1) as a whole:
+  // a three-digit exponent takes one more character.
+  EXPECT_EQ(json_value(1e-100).size(),
+            static_cast<std::size_t>(mc::kJsonValueWidth) + 1);
+}
+
 TEST(Interfaces, JsonOverheadFactorNearThree) {
   // fixed-width 23-char values + comma = 24 bytes per 8-byte double → the
   // text-vs-binary inflation the paper's Eq. (3) correction factor absorbs
@@ -328,7 +391,7 @@ TEST(Driver, MetaSizeAddsPerTaskBytes) {
 
 // ------------------------------------------------------------------ SPMD
 
-TEST(DriverSpmd, MatchesSerialByteForByte) {
+TEST(DriverSpmd, MatchesEventEngineByteForByte) {
   mc::Params params;
   params.nprocs = 4;
   params.num_dumps = 2;
@@ -336,55 +399,53 @@ TEST(DriverSpmd, MatchesSerialByteForByte) {
   params.dataset_growth = 1.1;
   params.meta_size = 50;
 
-  p::MemoryBackend serial_be(false);
-  const auto serial = mc::run_macsio(params, serial_be);
+  // The convenience overload runs on the event engine.
+  p::MemoryBackend event_be(false);
+  const auto event = mc::run_macsio(params, event_be);
 
   p::MemoryBackend spmd_be(false);
-  mc::DumpStats spmd;
-  amrio::simmpi::run_spmd(4, [&](amrio::simmpi::Comm& comm) {
-    auto stats = mc::run_macsio_spmd(comm, params, spmd_be);
-    if (comm.rank() == 0) spmd = std::move(stats);
-  });
+  amrio::exec::SpmdEngine engine(params.nprocs);
+  const auto spmd = mc::run_macsio(engine, params, spmd_be);
 
-  EXPECT_EQ(spmd.total_bytes, serial.total_bytes);
-  EXPECT_EQ(spmd.nfiles, serial.nfiles);
-  ASSERT_EQ(spmd.task_bytes.size(), serial.task_bytes.size());
+  EXPECT_EQ(spmd.total_bytes, event.total_bytes);
+  EXPECT_EQ(spmd.nfiles, event.nfiles);
+  ASSERT_EQ(spmd.task_bytes.size(), event.task_bytes.size());
   for (std::size_t d = 0; d < spmd.task_bytes.size(); ++d)
-    EXPECT_EQ(spmd.task_bytes[d], serial.task_bytes[d]) << "dump " << d;
+    EXPECT_EQ(spmd.task_bytes[d], event.task_bytes[d]) << "dump " << d;
   // identical backend contents (paths + sizes)
-  EXPECT_EQ(spmd_be.list(""), serial_be.list(""));
-  for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.size(path), serial_be.size(path)) << path;
+  EXPECT_EQ(spmd_be.list(""), event_be.list(""));
+  for (const auto& path : event_be.list(""))
+    EXPECT_EQ(spmd_be.size(path), event_be.size(path)) << path;
 }
 
 TEST(DriverSpmd, MifGroupBatonOrdering) {
-  // grouped MIF in SPMD: group members append in rank order; totals must
-  // match the serial driver
+  // grouped MIF in SPMD: group members append in rank order; contents must
+  // match the event-engine driver
   mc::Params params;
   params.nprocs = 6;
   params.mif_files = 2;
   params.num_dumps = 1;
   params.part_size = 1000;
 
-  p::MemoryBackend serial_be(true);
-  mc::run_macsio(params, serial_be);
+  p::MemoryBackend event_be(true);
+  mc::run_macsio(params, event_be);
   p::MemoryBackend spmd_be(true);
-  amrio::simmpi::run_spmd(6, [&](amrio::simmpi::Comm& comm) {
-    mc::run_macsio_spmd(comm, params, spmd_be);
-  });
-  for (const auto& path : serial_be.list("")) {
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+  amrio::exec::SpmdEngine engine(params.nprocs);
+  mc::run_macsio(engine, params, spmd_be);
+  ASSERT_EQ(spmd_be.list(""), event_be.list(""));
+  for (const auto& path : event_be.list("")) {
+    EXPECT_EQ(spmd_be.read(path), event_be.read(path)) << path;
   }
 }
 
-TEST(DriverSpmd, WrongCommSizeRejected) {
+TEST(DriverSpmd, WrongEngineSizeRejected) {
   mc::Params params;
   params.nprocs = 3;
   p::MemoryBackend be(false);
-  EXPECT_THROW(amrio::simmpi::run_spmd(
-                   2,
-                   [&](amrio::simmpi::Comm& comm) {
-                     mc::run_macsio_spmd(comm, params, be);
-                   }),
-               amrio::ContractViolation);
+  for (const auto kind :
+       {amrio::exec::EngineKind::kSpmd, amrio::exec::EngineKind::kEvent}) {
+    const auto engine = amrio::exec::make_engine(kind, 2);
+    EXPECT_THROW(mc::run_macsio(*engine, params, be), amrio::ContractViolation)
+        << engine->name();
+  }
 }

@@ -351,14 +351,14 @@ void run_pipeline(amrio::exec::Engine& engine, const obs::Probe& probe) {
   (void)fs.run(restart.requests, probe);
 }
 
-/// One observed 32-rank agg+bb+ebl dump+restart pipeline over the serial
+/// One observed 32-rank agg+bb+ebl dump+restart pipeline over the event
 /// engine, buffered into a tracer.
 struct PipelineObs {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
 
   PipelineObs() {
-    amrio::exec::SerialEngine engine(32);
+    amrio::exec::EventEngine engine(32);
     run_pipeline(engine, obs::Probe{&tracer, &metrics});
   }
 };
@@ -498,7 +498,7 @@ TEST(TraceStream, UnsampledStreamMatchesBufferedExportByteForByte) {
   obs::Tracer tracer;
   obs::MetricsRegistry m1;
   {
-    amrio::exec::SerialEngine engine(32);
+    amrio::exec::EventEngine engine(32);
     run_pipeline(engine, obs::Probe{&tracer, &m1});
   }
   std::ostringstream expect;
@@ -516,7 +516,7 @@ TEST(TraceStream, UnsampledStreamMatchesBufferedExportByteForByte) {
     obs::Probe probe;
     probe.tracer = &stream;
     probe.metrics = &m2;
-    amrio::exec::SerialEngine engine(32);
+    amrio::exec::EventEngine engine(32);
     run_pipeline(engine, probe);
   }
   ASSERT_GT(stream.spans_recorded(), 100u);
@@ -549,13 +549,13 @@ TEST(TraceStream, SampledStreamIsDeterministicAcrossEnginesAndRuns) {
     return bytes;
   };
   const std::string base = testing::TempDir();
-  amrio::exec::SerialEngine s1(32), s2(32);
-  amrio::exec::EventEngine ev(32);
-  const std::string a = render(s1, base + "obs_samp_a.json");
-  const std::string b = render(s2, base + "obs_samp_b.json");
-  const std::string c = render(ev, base + "obs_samp_c.json");
+  amrio::exec::EventEngine e1(32), e2(32);
+  amrio::exec::SpmdEngine sp(32);
+  const std::string a = render(e1, base + "obs_samp_a.json");
+  const std::string b = render(e2, base + "obs_samp_b.json");
+  const std::string c = render(sp, base + "obs_samp_c.json");
   EXPECT_EQ(a, b);  // run-to-run
-  EXPECT_EQ(a, c);  // serial vs discrete-event engine
+  EXPECT_EQ(a, c);  // discrete-event engine vs spmd threads
   // Dropped ranks folded into per-stage envelopes on the synthetic track.
   EXPECT_NE(a.find("\"aggregated\""), std::string::npos);
   EXPECT_NE(a.find("spans,"), std::string::npos);  // envelope detail text
@@ -592,7 +592,7 @@ TEST(ResourceLedger, PipelineConservesBusyPlusIdlePerResource) {
   probe.tracer = &tracer;
   probe.metrics = &metrics;
   probe.ledger = &ledger;
-  amrio::exec::SerialEngine engine(32);
+  amrio::exec::EventEngine engine(32);
   run_pipeline(engine, probe);
 
   const obs::UtilizationReport rep = ledger.report();
@@ -719,14 +719,14 @@ TEST(SelfProfiler, EventEnginePublishesSchedulerCounters) {
   EXPECT_EQ(snap.phases.at("engine.event.run").count, 1u);
 }
 
-TEST(SelfProfiler, SerialEnginePublishesWallPhase) {
+TEST(SelfProfiler, SpmdEnginePublishesWallPhase) {
   obs::SelfProfiler prof;
-  amrio::exec::SerialEngine engine(4);
+  amrio::exec::SpmdEngine engine(4);
   engine.set_profiler(&prof);
   engine.run([](amrio::exec::RankCtx& ctx) { ctx.barrier(); });
   const obs::SelfProfSnapshot snap = prof.snapshot();
-  EXPECT_EQ(snap.counters.at("engine.serial.runs"), 1u);
-  EXPECT_EQ(snap.phases.at("engine.serial.run").count, 1u);
+  EXPECT_EQ(snap.counters.at("engine.spmd.runs"), 1u);
+  EXPECT_EQ(snap.phases.at("engine.spmd.run").count, 1u);
 }
 
 // --------------------------------------------------- slack analysis
@@ -995,8 +995,8 @@ void check_grid_tolerance() {
 
 }  // namespace
 
-TEST(WhatIf, TwoXReliefWithin5PctOfResimSerialEngine) {
-  check_grid_tolerance<amrio::exec::SerialEngine>();
+TEST(WhatIf, TwoXReliefWithin5PctOfResimSpmdEngine) {
+  check_grid_tolerance<amrio::exec::SpmdEngine>();
 }
 
 TEST(WhatIf, TwoXReliefWithin5PctOfResimEventEngine) {
@@ -1009,7 +1009,7 @@ TEST(Explain, RanksResourcesAndWritesStableJson) {
   PipelineObs run;
   obs::ResourceLedger ledger;
   {
-    amrio::exec::SerialEngine engine(32);
+    amrio::exec::EventEngine engine(32);
     obs::Probe probe;
     probe.ledger = &ledger;
     run_pipeline(engine, probe);
@@ -1066,7 +1066,7 @@ TEST(TraceStream, EnvelopeSpansApproximateTheCriticalPath) {
   obs::Probe probe;
   probe.tracer = &stream;
   {
-    amrio::exec::SerialEngine engine(32);
+    amrio::exec::EventEngine engine(32);
     run_pipeline(engine, probe);
   }
   const auto envelopes = stream.envelope_spans();

@@ -11,13 +11,13 @@
 #include <cmath>
 
 #include "amr/cluster.hpp"
+#include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
 #include "model/calibrate.hpp"
 #include "pfs/simfs.hpp"
 #include "plotfile/scanner.hpp"
 #include "plotfile/writer.hpp"
-#include "simmpi/comm.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
 
@@ -99,25 +99,23 @@ TEST_P(HierarchyProperty, PredictEqualsWrite) {
   }
 }
 
-TEST_P(HierarchyProperty, SpmdWriterMatchesSerial) {
+TEST_P(HierarchyProperty, SpmdWriterMatchesEventEngine) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   const int nranks = 4;
   RandomHierarchy h(seed * 97 + 7, nranks);
 
-  p::MemoryBackend serial_be(true);
-  const auto serial = pf::write_plotfile(serial_be, h.spec(0), h.levels);
+  // The convenience overload runs on the event engine.
+  p::MemoryBackend event_be(true);
+  const auto event = pf::write_plotfile(event_be, h.spec(0), h.levels);
 
   p::MemoryBackend spmd_be(true);
-  pf::WriteStats spmd;
-  amrio::simmpi::run_spmd(nranks, [&](amrio::simmpi::Comm& comm) {
-    auto stats = pf::write_plotfile_spmd(comm, spmd_be, h.spec(0), h.levels);
-    if (comm.rank() == 0) spmd = std::move(stats);
-  });
-  EXPECT_EQ(spmd.total_bytes, serial.total_bytes);
-  EXPECT_EQ(spmd.rank_level_bytes, serial.rank_level_bytes);
-  ASSERT_EQ(spmd_be.list(""), serial_be.list(""));
-  for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+  amrio::exec::SpmdEngine engine(nranks);
+  const auto spmd = pf::write_plotfile(engine, spmd_be, h.spec(0), h.levels);
+  EXPECT_EQ(spmd.total_bytes, event.total_bytes);
+  EXPECT_EQ(spmd.rank_level_bytes, event.rank_level_bytes);
+  ASSERT_EQ(spmd_be.list(""), event_be.list(""));
+  for (const auto& path : event_be.list(""))
+    EXPECT_EQ(spmd_be.read(path), event_be.read(path)) << path;
 }
 
 TEST_P(HierarchyProperty, ScannerMatchesTrace) {

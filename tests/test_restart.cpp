@@ -172,7 +172,7 @@ TEST_P(ScattervGroup, FansPayloadsBackOutInMemberOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ScattervGroup,
-                         ::testing::Values(ex::EngineKind::kSerial,
+                         ::testing::Values(ex::EngineKind::kEvent,
                                            ex::EngineKind::kSpmd));
 
 // ----------------------------------------------------- codec decode model
@@ -254,7 +254,7 @@ std::vector<std::vector<std::byte>> expected_docs(const mc::Params& params) {
   flat.restart_from_bb = false;
   flat.prefetch_streams = 0;
   p::MemoryBackend be(true);
-  ex::SerialEngine engine(flat.nprocs);
+  ex::EventEngine engine(flat.nprocs);
   (void)mc::run_macsio(engine, flat, be);
   std::vector<std::vector<std::byte>> docs;
   for (int r = 0; r < flat.nprocs; ++r)
@@ -418,22 +418,23 @@ TEST_P(MacsioRestart, EnginesAgreeOnEveryRestartStatistic) {
     (void)mc::run_macsio(*engine, params, be);
     return mc::run_restart(*engine, params, be);
   };
-  const auto serial = run_with(ex::EngineKind::kSerial);
+  // The threaded spmd engine is the reference every run must match.
+  const auto ref = run_with(ex::EngineKind::kSpmd);
   const auto other = run_with(GetParam());
 
-  EXPECT_EQ(serial.task_bytes, other.task_bytes);
-  EXPECT_EQ(serial.task_hash, other.task_hash);
-  EXPECT_EQ(serial.raw_bytes, other.raw_bytes);
-  EXPECT_EQ(serial.encoded_bytes, other.encoded_bytes);
-  EXPECT_DOUBLE_EQ(serial.decode_gate, other.decode_gate);
-  EXPECT_DOUBLE_EQ(serial.scatter_seconds, other.scatter_seconds);
-  ASSERT_EQ(serial.requests.size(), other.requests.size());
-  for (std::size_t i = 0; i < serial.requests.size(); ++i) {
-    EXPECT_EQ(serial.requests[i].file, other.requests[i].file);
-    EXPECT_EQ(serial.requests[i].bytes, other.requests[i].bytes);
-    EXPECT_EQ(serial.requests[i].client, other.requests[i].client);
-    EXPECT_EQ(serial.requests[i].op, other.requests[i].op);
-    EXPECT_EQ(serial.requests[i].tier, other.requests[i].tier);
+  EXPECT_EQ(ref.task_bytes, other.task_bytes);
+  EXPECT_EQ(ref.task_hash, other.task_hash);
+  EXPECT_EQ(ref.raw_bytes, other.raw_bytes);
+  EXPECT_EQ(ref.encoded_bytes, other.encoded_bytes);
+  EXPECT_DOUBLE_EQ(ref.decode_gate, other.decode_gate);
+  EXPECT_DOUBLE_EQ(ref.scatter_seconds, other.scatter_seconds);
+  ASSERT_EQ(ref.requests.size(), other.requests.size());
+  for (std::size_t i = 0; i < ref.requests.size(); ++i) {
+    EXPECT_EQ(ref.requests[i].file, other.requests[i].file);
+    EXPECT_EQ(ref.requests[i].bytes, other.requests[i].bytes);
+    EXPECT_EQ(ref.requests[i].client, other.requests[i].client);
+    EXPECT_EQ(ref.requests[i].op, other.requests[i].op);
+    EXPECT_EQ(ref.requests[i].tier, other.requests[i].tier);
   }
 }
 
@@ -452,7 +453,7 @@ TEST_P(MacsioRestart, AccountingBackendKeepsExactSizes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, MacsioRestart,
-                         ::testing::Values(ex::EngineKind::kSerial,
+                         ::testing::Values(ex::EngineKind::kEvent,
                                            ex::EngineKind::kSpmd));
 
 // ------------------------------------------------- restart at scale
@@ -592,7 +593,7 @@ TEST(MacsioRestartCli, KnobsParseValidateAndRoundTrip) {
 TEST(MacsioRestartCli, MissingDumpFilesAreRejected) {
   mc::Params params = restart_params(4, 2);
   p::MemoryBackend be(true);  // nothing written
-  ex::SerialEngine engine(params.nprocs);
+  ex::EventEngine engine(params.nprocs);
   EXPECT_THROW(mc::run_restart(engine, params, be), amrio::ContractViolation);
 }
 

@@ -162,7 +162,7 @@ TEST_P(GathervGroup, GathersMemberPayloadsInRankOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, GathervGroup,
-                         ::testing::Values(ex::EngineKind::kSerial,
+                         ::testing::Values(ex::EngineKind::kEvent,
                                            ex::EngineKind::kSpmd));
 
 // ----------------------------------------- aggregated MACSio dump loop
@@ -186,7 +186,7 @@ mc::Params agg_params(int nprocs, int aggregators) {
 TEST(AggregatedMif, ByteConservingAt64Ranks8Aggregators) {
   const auto params = agg_params(64, 8);
   p::MemoryBackend be(false);
-  ex::SerialEngine engine(params.nprocs);
+  ex::EventEngine engine(params.nprocs);
   const auto stats = mc::run_macsio(engine, params, be);
 
   const auto iface = mc::make_interface(params.interface);
@@ -220,9 +220,9 @@ TEST(AggregatedMif, ByteConservingAt64Ranks8Aggregators) {
 
 TEST(AggregatedMif, ByteIdenticalAcrossEngines) {
   const auto params = agg_params(64, 8);
-  p::MemoryBackend serial_be(true);
-  ex::SerialEngine serial(params.nprocs);
-  const auto ref = mc::run_macsio(serial, params, serial_be);
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(params.nprocs);
+  const auto ref = mc::run_macsio(event, params, event_be);
 
   p::MemoryBackend spmd_be(true);
   ex::SpmdEngine spmd(params.nprocs);
@@ -232,10 +232,10 @@ TEST(AggregatedMif, ByteIdenticalAcrossEngines) {
   EXPECT_EQ(got.nfiles, ref.nfiles);
   EXPECT_EQ(got.bytes_per_dump, ref.bytes_per_dump);
   EXPECT_EQ(got.task_bytes, ref.task_bytes);
-  const auto paths = serial_be.list("");
+  const auto paths = event_be.list("");
   ASSERT_EQ(paths, spmd_be.list(""));
   for (const auto& path : paths)
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(spmd_be.read(path), event_be.read(path)) << path;
 }
 
 TEST(AggregatedMif, SubfilesConcatenateTaskDocsInRankOrder) {
@@ -370,19 +370,19 @@ TEST(AggregatedPlotfile, FewerFilesSameDataBytesAndReadableRoundTrip) {
 TEST(AggregatedPlotfile, PredictMatchesWriteAndEnginesAgree) {
   const int nranks = 8;
   auto c = make_plot_case(nranks, 4);
-  p::MemoryBackend serial_be(true);
-  ex::SerialEngine serial(nranks);
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(nranks);
   const auto ref =
-      pf::write_plotfile(serial, serial_be, c.spec, {{c.geom, &c.mf}});
+      pf::write_plotfile(event, event_be, c.spec, {{c.geom, &c.mf}});
 
   p::MemoryBackend spmd_be(true);
   ex::SpmdEngine spmd(nranks);
   const auto got = pf::write_plotfile(spmd, spmd_be, c.spec, {{c.geom, &c.mf}});
   EXPECT_EQ(got.total_bytes, ref.total_bytes);
   EXPECT_EQ(got.nfiles, ref.nfiles);
-  ASSERT_EQ(serial_be.list(""), spmd_be.list(""));
-  for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+  ASSERT_EQ(event_be.list(""), spmd_be.list(""));
+  for (const auto& path : event_be.list(""))
+    EXPECT_EQ(spmd_be.read(path), event_be.read(path)) << path;
 
   const pf::LevelLayout layout{c.geom, c.mf.box_array(), c.mf.distribution()};
   const auto predicted = pf::predict_plotfile(c.spec, {layout}, 2);

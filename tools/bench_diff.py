@@ -20,11 +20,12 @@ compared under per-bench rules keyed off the file's "bench" field:
       -> CHANGED (reported, passes only alongside no regression).
 
   micro_engine_scaling (wall-clock, machine-dependent)
-      Raw `seconds` are report-only — never gated. The gate watches
-      speedup_event_over_serial keyed by (workload, ranks): the current
-      speedup must stay above baseline/3 (a generous bound that survives CI
-      jitter but catches the event engine collapsing back to serial pace).
-      Missing or added rows fail.
+      Rows keyed by (workload, ranks, engine); raw `seconds` are
+      report-only. The gate watches the event engine's sim_ranks_per_sec
+      for every (workload, ranks) row of the baseline: the current rate must
+      stay above baseline/3 (a generous bound that survives CI jitter but
+      catches an order-of-magnitude scheduling regression). Missing or added
+      rows fail.
 
 Anything else: row-count sanity check only.
 
@@ -44,10 +45,10 @@ import sys
 # results are exact; this only absorbs cross-compiler float reassociation.
 PIPELINE_RTOL = 1e-6
 
-# An engine speedup may drop to a third of baseline before the gate trips:
-# wall clocks on shared CI runners are noisy, order-of-magnitude claims are
-# what the bench exists to defend.
-SPEEDUP_FLOOR_FRAC = 1.0 / 3.0
+# The event engine's sim-ranks/sec may drop to a third of baseline before the
+# gate trips: wall clocks on shared CI runners are noisy, order-of-magnitude
+# claims are what the bench exists to defend.
+RATE_FLOOR_FRAC = 1.0 / 3.0
 
 PIPELINE_METRICS = [
     # (key, lower_is_better)
@@ -146,23 +147,21 @@ def diff_engine(base, cur, diff):
                   f"| {c['seconds']:.6g} "
                   f"| {rel_delta(b['seconds'], c['seconds']):+.1%} |")
 
-    diff.note("\nevent-over-serial speedups (gated at baseline/3):\n")
+    diff.note("\nevent-engine sim-ranks/sec (gated at baseline/3):\n")
     diff.note("| workload/ranks | baseline | current | floor | status |")
     diff.note("|---|---|---|---|---|")
-    bsp = {(r["workload"], r["ranks"]): r["speedup"]
-           for r in base.get("speedup_event_over_serial", [])}
-    csp = {(r["workload"], r["ranks"]): r["speedup"]
-           for r in cur.get("speedup_event_over_serial", [])}
-    for key in sorted(bsp.keys() - csp.keys()):
-        diff.fail(f"speedup row {key} missing from current run")
-    for key in sorted(bsp.keys() & csp.keys()):
-        floor = bsp[key] * SPEEDUP_FLOOR_FRAC
-        ok = csp[key] >= floor
-        diff.note(f"| {key[0]}/{key[1]} | {bsp[key]:.3g} | {csp[key]:.3g} "
-                  f"| {floor:.3g} | {'ok' if ok else 'REGRESSED'} |")
+    for key in sorted(bkeys.keys() & ckeys.keys()):
+        if key[2] != "event":
+            continue
+        b = bkeys[key]["sim_ranks_per_sec"]
+        c = ckeys[key]["sim_ranks_per_sec"]
+        floor = b * RATE_FLOOR_FRAC
+        ok = c >= floor
+        diff.note(f"| {key[0]}/{key[1]} | {b:.4g} | {c:.4g} "
+                  f"| {floor:.4g} | {'ok' if ok else 'REGRESSED'} |")
         if not ok:
-            diff.fail(f"speedup {key}: {csp[key]:.3g} fell below "
-                      f"{floor:.3g} (baseline {bsp[key]:.3g})")
+            diff.fail(f"event sim_ranks_per_sec {key[0]}/{key[1]}: {c:.4g} "
+                      f"fell below {floor:.4g} (baseline {b:.4g})")
 
 
 def diff_generic(base, cur, diff):
