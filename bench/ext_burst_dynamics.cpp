@@ -47,8 +47,8 @@ int main(int argc, char** argv) {
       for (double sigma : {0.0, 0.4}) {
         params.compute_time = compute;
         pfs::MemoryBackend be(false);
-        exec::EventEngine engine(params.nprocs);
-        const auto stats = macsio::run_macsio(engine, params, be);
+        const auto engine = ctx.make_engine(params.nprocs);
+        const auto stats = macsio::run_macsio(*engine, params, be);
         pfs::SimFsConfig cfg;
         cfg.n_ost = osts;
         cfg.ost_bandwidth = 0.5e9;

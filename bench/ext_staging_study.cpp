@@ -111,11 +111,11 @@ int main(int argc, char** argv) {
       params.stage_to_bb = config.burst_buffer;
 
       pfs::MemoryBackend backend(false);
-      exec::EventEngine engine(params.nprocs);
+      const auto engine = ctx.make_engine(params.nprocs);
       row_tracer = obs::Tracer();
       obs::Probe probe = ctx.probe(row_tracer);
       const auto stats =
-          macsio::run_macsio(engine, params, backend, nullptr, probe);
+          macsio::run_macsio(*engine, params, backend, nullptr, probe);
 
       std::uint64_t data_files = 0;
       std::uint64_t data_bytes = 0;
@@ -167,8 +167,8 @@ int main(int argc, char** argv) {
           row_tracer = obs::Tracer();
           probe = ctx.probe(row_tracer);
           pfs::MemoryBackend probe_backend(false);
-          exec::EventEngine probe_engine(params.nprocs);
-          (void)macsio::run_macsio(probe_engine, params, probe_backend,
+          const auto probe_engine = ctx.make_engine(params.nprocs);
+          (void)macsio::run_macsio(*probe_engine, params, probe_backend,
                                    nullptr, probe);
         }
         // only meaningful when aggregators exist; 0 otherwise

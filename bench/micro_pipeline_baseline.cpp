@@ -89,11 +89,11 @@ int main(int argc, char** argv) {
       params.codec_throughput = kCodecThroughput;
 
       pfs::MemoryBackend backend(false);
-      exec::EventEngine engine(params.nprocs);
+      const auto engine = ctx.make_engine(params.nprocs);
       row_tracer = obs::Tracer();
       const obs::Probe probe = ctx.probe(row_tracer);
       const auto stats =
-          macsio::run_macsio(engine, params, backend, nullptr, probe);
+          macsio::run_macsio(*engine, params, backend, nullptr, probe);
 
       pfs::SimFs fs(bench::study_fs_config(kRanks, mode.burst_buffer));
       const auto report =

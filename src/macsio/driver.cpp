@@ -5,6 +5,8 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 #include "codec/codec.hpp"
 #include "macsio/interfaces.hpp"
@@ -31,48 +33,46 @@ std::vector<double> DumpStats::cumulative() const {
 
 namespace {
 
-/// MIF file group of a rank: mif_files files shared contiguously.
+/// Output-file naming of an interface: the tag in `macsio_<tag>_...`
+/// (the paper's `macsio_json_{task}_{step}.json` pattern for json) and the
+/// data-file extension.
+struct FileNaming {
+  const char* tag;
+  const char* extension;
+};
+
+FileNaming file_naming(Interface kind) {
+  switch (kind) {
+    case Interface::kMiftmpl: return {"json", "json"};
+    case Interface::kH5Lite: return {"h5", "h5"};
+    case Interface::kRaw: return {"raw", "bin"};
+  }
+  throw std::invalid_argument("macsio: bad interface");
+}
+
+/// `<output_dir>/<dir>/macsio_<tag>_<middle><dump:03d>.<extension>`.
+std::string output_path(const Params& p, const char* dir,
+                        std::string_view middle, int dump,
+                        const char* extension) {
+  std::string out = p.output_dir;
+  out += '/';
+  out += dir;
+  out += "/macsio_";
+  out += file_naming(p.interface).tag;
+  out += '_';
+  out += middle;
+  out += util::zero_pad(static_cast<std::uint64_t>(dump), 3);
+  out += '.';
+  out += extension;
+  return out;
+}
+
+/// File group of an unaggregated rank: MIF shares mif_files files
+/// contiguously (one per task when 0); SIF is one global group.
 int file_group(const Params& p, int rank) {
+  if (p.file_mode == FileMode::kSif) return 0;
   const int nfiles = (p.mif_files == 0) ? p.nprocs : p.mif_files;
   return static_cast<int>((static_cast<std::int64_t>(rank) * nfiles) / p.nprocs);
-}
-
-/// First rank of a file group (the member that creates/truncates the file).
-bool is_group_leader(const Params& p, int rank) {
-  if (rank == 0) return true;
-  return file_group(p, rank) != file_group(p, rank - 1);
-}
-
-/// dump_file_path against an already-constructed interface — the dump body
-/// calls this several times per rank per dump; allocating a fresh interface
-/// each time (as the public overload must) would dominate calibration
-/// replays.
-std::string dump_file_path_for(const Params& p, const IoInterface& iface,
-                               int rank, int dump) {
-  if (p.file_mode == FileMode::kSif) {
-    return p.output_dir + "/data/macsio_" + iface.file_tag() + "_shared_" +
-           util::zero_pad(static_cast<std::uint64_t>(dump), 3) + "." +
-           iface.extension();
-  }
-  const int group = file_group(p, rank);
-  return p.output_dir + "/data/macsio_" + iface.file_tag() + "_" +
-         util::zero_pad(static_cast<std::uint64_t>(group), 5) + "_" +
-         util::zero_pad(static_cast<std::uint64_t>(dump), 3) + "." +
-         iface.extension();
-}
-
-std::string aggregated_file_path_for(const Params& p, const IoInterface& iface,
-                                     int group, int dump) {
-  return p.output_dir + "/data/macsio_" + iface.file_tag() + "_agg_" +
-         util::zero_pad(static_cast<std::uint64_t>(group), 5) + "_" +
-         util::zero_pad(static_cast<std::uint64_t>(dump), 3) + "." +
-         iface.extension();
-}
-
-std::string aggregated_index_path_for(const Params& p, const IoInterface& iface,
-                                      int dump) {
-  return p.output_dir + "/metadata/macsio_" + iface.file_tag() + "_index_" +
-         util::zero_pad(static_cast<std::uint64_t>(dump), 3) + ".txt";
 }
 
 // Fixed-width index layout: 55-byte header + one 58-byte line per task
@@ -132,21 +132,27 @@ std::string dump_file_path(const Params& p, int rank, int dump) {
     const auto topo = staging::AggTopology::make(p.nprocs, p.aggregators);
     return aggregated_file_path(p, topo.group_of(rank), dump);
   }
-  return dump_file_path_for(p, *make_interface(p.interface), rank, dump);
+  const char* ext = file_naming(p.interface).extension;
+  if (p.file_mode == FileMode::kSif)
+    return output_path(p, "data", "shared_", dump, ext);
+  const std::string group =
+      util::zero_pad(static_cast<std::uint64_t>(file_group(p, rank)), 5) + "_";
+  return output_path(p, "data", group, dump, ext);
 }
 
 std::string root_file_path(const Params& p, int dump) {
-  const auto iface = make_interface(p.interface);
-  return p.output_dir + "/metadata/macsio_" + iface->file_tag() + "_root_" +
-         util::zero_pad(static_cast<std::uint64_t>(dump), 3) + ".json";
+  return output_path(p, "metadata", "root_", dump, "json");
 }
 
 std::string aggregated_file_path(const Params& p, int group, int dump) {
-  return aggregated_file_path_for(p, *make_interface(p.interface), group, dump);
+  const std::string middle =
+      "agg_" + util::zero_pad(static_cast<std::uint64_t>(group), 5) + "_";
+  return output_path(p, "data", middle, dump,
+                     file_naming(p.interface).extension);
 }
 
 std::string aggregated_index_path(const Params& p, int dump) {
-  return aggregated_index_path_for(p, *make_interface(p.interface), dump);
+  return output_path(p, "metadata", "index_", dump, "txt");
 }
 
 std::uint64_t aggregated_index_bytes(const Params& p) {
@@ -157,33 +163,111 @@ std::uint64_t aggregated_index_bytes(const Params& p) {
 
 namespace {
 
+/// `p` after the checks every run makes once, before any rank starts.
+const Params& checked(const Params& p, const exec::Engine& engine,
+                      const char* caller) {
+  p.validate();
+  AMRIO_EXPECTS_MSG(engine.nranks() == p.nprocs,
+                    caller << ": engine ranks " << engine.nranks()
+                           << " != nprocs " << p.nprocs);
+  return p;
+}
+
+/// What every rank of one run_macsio / run_restart call shares: a pure
+/// function of the parameters, built once before the engine starts and
+/// handed to every rank body read-only, as the restage plan is.
+struct RunPlan {
+  RunPlan(const Params& p, const exec::Engine& engine, const char* caller,
+          bool from_bb)
+      : params(checked(p, engine, caller)),
+        iface(make_interface(p.interface)),
+        agg_cfg{p.aggregators, p.agg_link_bandwidth, 1.0e-6},
+        tier(from_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs) {
+    const codec::CodecSpec spec = p.codec_spec();
+    cdc = codec::make_codec(spec);
+    encoded = spec.enabled();
+    if (p.aggregators > 0)
+      topo = staging::AggTopology::make(p.nprocs, p.aggregators);
+    specs.reserve(static_cast<std::size_t>(p.num_dumps));
+    for (int dump = 0; dump < p.num_dumps; ++dump)
+      specs.push_back(
+          make_part_spec(p.part_bytes_at_dump(dump), p.vars_per_part));
+  }
+
+  bool aggregated() const { return topo.has_value(); }
+
+  const Params& params;
+  std::unique_ptr<IoInterface> iface;
+  /// The in-situ codec stage. Codecs are stateless, so one instance serves
+  /// every rank.
+  std::unique_ptr<codec::Codec> cdc;
+  bool encoded = false;  ///< a non-identity codec is on
+  std::optional<staging::AggTopology> topo;  ///< set when aggregated
+  staging::AggregationConfig agg_cfg;
+  /// Tier the run's data requests target: the dump's write tier, or the
+  /// restart's read tier.
+  int tier;
+  std::vector<PartSpec> specs;  ///< part geometry per dump
+};
+
+/// One aggregation group's traffic over its link, for a dump's gatherv or a
+/// restart's scatterv: the members' encoded documents, of which all but the
+/// aggregator's own cross the link.
+struct GroupShip {
+  int aggregator = 0;
+  std::uint64_t subfile_encoded = 0;  ///< every member's encoded bytes
+  std::uint64_t shipped = 0;          ///< the bytes that cross the link
+  int messages = 0;
+  double gate = 0.0;  ///< slowest member's codec cpu
+  double cost = 0.0;  ///< link time of `shipped` in `messages` sends
+  /// The bandwidth part of `cost` only: the per-message latency term does
+  /// not shrink when the link gets faster, so the what-if engine must not
+  /// scale it.
+  double link_service = 0.0;
+
+  /// When the group's data has crossed the link, for members that start
+  /// encoding at `submit`.
+  double ready(double submit) const { return (submit + gate) + cost; }
+};
+
+/// The ship schedule of every group. `doc(r)` is rank r's document as a
+/// codec::CompressResult: out_bytes cross the link, cpu_seconds gate it.
+template <class DocOf>
+std::vector<GroupShip> ship_schedule(const RunPlan& run, DocOf&& doc) {
+  const staging::AggTopology& topo = *run.topo;
+  std::vector<GroupShip> ships(static_cast<std::size_t>(topo.ngroups()));
+  for (int g = 0; g < topo.ngroups(); ++g) {
+    GroupShip& s = ships[static_cast<std::size_t>(g)];
+    s.aggregator = topo.aggregator_of_group(g);
+    const int end = s.aggregator + topo.group_size(g);
+    for (int r = s.aggregator; r < end; ++r) {
+      const codec::CompressResult& d = doc(r);
+      s.subfile_encoded += d.out_bytes;
+      s.gate = std::max(s.gate, d.cpu_seconds);
+      if (r != s.aggregator) {
+        s.shipped += d.out_bytes;
+        ++s.messages;
+      }
+    }
+    s.cost = staging::ship_cost(run.agg_cfg, s.shipped, s.messages);
+    s.link_service =
+        static_cast<double>(s.shipped) / run.agg_cfg.link_bandwidth;
+  }
+  return ships;
+}
+
 /// The single SPMD dump-loop body shared by every execution mode. Rank 0
 /// accumulates the full statistics and returns them; other ranks return
 /// empty stats.
-DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
+DumpStats run_macsio_rank(exec::RankCtx& ctx, const RunPlan& run,
                           pfs::StorageBackend& backend,
                           iostats::TraceRecorder* trace, obs::Probe probe) {
-  params.validate();
-  AMRIO_EXPECTS_MSG(ctx.nranks() == params.nprocs,
-                    "run_macsio: engine ranks " << ctx.nranks()
-                                                << " != nprocs " << params.nprocs);
-  const auto iface = make_interface(params.interface);
+  const Params& params = run.params;
+  const IoInterface& iface = *run.iface;
+  const codec::Codec& cdc = *run.cdc;
   const int rank = ctx.rank();
   constexpr int kBatonTag = 41;
   constexpr int kShipTag = 73;
-
-  const bool aggregated = params.aggregators > 0;
-  std::optional<staging::AggTopology> topo;
-  if (aggregated)
-    topo = staging::AggTopology::make(params.nprocs, params.aggregators);
-  const staging::AggregationConfig agg_cfg{params.aggregators,
-                                           params.agg_link_bandwidth, 1.0e-6};
-  const int tier =
-      params.stage_to_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs;
-  // The in-situ codec stage: every rank encodes its task document before it
-  // leaves the node. Codecs are stateless; each rank holds its own instance.
-  const auto cdc = codec::make_codec(params.codec_spec());
-  const bool encoded = params.codec_spec().enabled();
 
   DumpStats stats;
   if (rank == 0) {
@@ -193,8 +277,7 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
   }
 
   for (int dump = 0; dump < params.num_dumps; ++dump) {
-    const PartSpec spec =
-        make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
+    const PartSpec& spec = run.specs[static_cast<std::size_t>(dump)];
     const double submit_time = dump * params.compute_time;
     util::Xoshiro256 rng(params.seed ^
                          (static_cast<std::uint64_t>(dump) << 20) ^
@@ -203,16 +286,16 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
     std::uint64_t written = 0;
 
     auto serialize_task_doc = [&](Sink& sink) {
-      iface->begin_task_doc(sink, rank, dump);
+      iface.begin_task_doc(sink, rank, dump);
       const int nparts = params.parts_of_rank(rank);
       for (int part = 0; part < nparts; ++part) {
-        if (part > 0) iface->part_separator(sink);
-        iface->write_part(sink, spec, part, params.fill, rng);
+        if (part > 0) iface.part_separator(sink);
+        iface.write_part(sink, spec, part, params.fill, rng);
       }
-      iface->end_task_doc(sink, params.meta_size);
+      iface.end_task_doc(sink, params.meta_size);
     };
 
-    if (aggregated) {
+    if (run.aggregated()) {
       // Two-phase aggregation: serialize into memory, encode through the
       // codec stage, ship to the group's aggregator, and let only the
       // aggregator touch the file system — the encoded documents cross the
@@ -223,19 +306,19 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
       // One materialization per document: the buffer is sized exactly up
       // front (task_doc_bytes plus the codec's header headroom), sealed in
       // place, moved through the ship, and written from a payload view.
-      const int group = topo->group_of(rank);
-      const int agg = topo->aggregator_of_group(group);
-      const std::size_t headroom = cdc->header_bytes();
+      const int group = run.topo->group_of(rank);
+      const int agg = run.topo->aggregator_of_group(group);
+      const std::size_t headroom = cdc.header_bytes();
       std::vector<std::byte> doc;
       doc.reserve(headroom +
-                  iface->task_doc_bytes(spec, rank, dump,
-                                        params.parts_of_rank(rank),
-                                        params.meta_size));
+                  iface.task_doc_bytes(spec, rank, dump,
+                                       params.parts_of_rank(rank),
+                                       params.meta_size));
       doc.resize(headroom);
       VectorSink vsink(doc);
       serialize_task_doc(vsink);
       written = vsink.bytes();
-      (void)cdc->seal(doc);
+      (void)cdc.seal(doc);
       // The aggregator streams: it writes each payload as it arrives and
       // drops it before the next receive. It is its group's first rank, so
       // on the event engine (woken ranks resume before fresh ones start) at
@@ -243,20 +326,20 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
       std::string path;
       std::optional<pfs::OutFile> out;
       if (rank == agg) {
-        path = aggregated_file_path_for(params, *iface, group, dump);
+        path = aggregated_file_path(params, group, dump);
         out.emplace(backend, path);
       }
       std::uint64_t encoded_bytes = 0;
       double codec_cpu = 0.0;
       exec::gatherv_group(
-          ctx, std::move(doc), topo->members_of(group), agg, kShipTag,
+          ctx, std::move(doc), run.topo->members_of(group), agg, kShipTag,
           [&](int, std::vector<std::byte> payload) {
-            if (encoded) {
-              const codec::CompressResult enc = cdc->peek(payload);
+            if (run.encoded) {
+              const codec::CompressResult enc = cdc.peek(payload);
               encoded_bytes += enc.out_bytes;
               codec_cpu += enc.cpu_seconds;
             }
-            out->write(cdc->payload(payload));
+            out->write(cdc.payload(payload));
           },
           probe);
       if (rank == agg) {
@@ -264,23 +347,21 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
         out->close();  // surface flush errors (destructor closes quietly)
         if (trace != nullptr)
           trace->record_encoded_write(dump, 0, rank, path, subfile_bytes,
-                                      encoded_bytes, codec_cpu, tier, group);
+                                      encoded_bytes, codec_cpu, run.tier,
+                                      group);
       }
     } else {
-      const std::string path = dump_file_path_for(params, *iface, rank, dump);
+      const std::string path = dump_file_path(params, rank, dump);
 
       // MIF baton: within a file group, members write strictly in rank order.
       // SIF is one global group. The leader truncates; followers append after
       // receiving the baton from their predecessor.
-      const bool leader = (params.file_mode == FileMode::kSif)
-                              ? (rank == 0)
-                              : is_group_leader(params, rank);
-      const bool has_predecessor = !leader;
+      const int group = file_group(params, rank);
+      const bool leader = rank == 0 || file_group(params, rank - 1) != group;
       const bool same_file_successor =
-          (rank + 1 < params.nprocs) &&
-          dump_file_path_for(params, *iface, rank + 1, dump) == path;
+          rank + 1 < params.nprocs && file_group(params, rank + 1) == group;
 
-      if (has_predecessor) {
+      if (!leader) {
         (void)ctx.recv_token(rank - 1, kBatonTag);
       }
       {
@@ -297,9 +378,10 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
       }
       if (trace != nullptr) {
         const codec::CompressResult enc =
-            encoded ? cdc->plan(written) : codec::CompressResult{};
+            run.encoded ? cdc.plan(written) : codec::CompressResult{};
         trace->record_encoded_write(dump, 0, rank, path, written,
-                                    enc.out_bytes, enc.cpu_seconds, tier, -1);
+                                    enc.out_bytes, enc.cpu_seconds, run.tier,
+                                    -1);
       }
     }
 
@@ -319,41 +401,30 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
         const std::uint64_t b = all_bytes[static_cast<std::size_t>(r)];
         stats.task_bytes[static_cast<std::size_t>(dump)][static_cast<std::size_t>(r)] = b;
         dump_bytes += b;
-        encs[static_cast<std::size_t>(r)] = cdc->plan(b);
+        encs[static_cast<std::size_t>(r)] = cdc.plan(b);
         stats.codec.add(dump, -1, encs[static_cast<std::size_t>(r)]);
-        if (!aggregated) {
+        if (!run.aggregated()) {
           // Encoded bytes hit the filesystem; the encode cpu delays submit.
           const auto& enc = encs[static_cast<std::size_t>(r)];
           stats.requests.push_back(pfs::IoRequest{
               r, submit_time + enc.cpu_seconds,
-              dump_file_path_for(params, *iface, r, dump), enc.out_bytes,
-              tier});
+              dump_file_path(params, r, dump), enc.out_bytes, run.tier});
         }
       }
-      if (aggregated) {
-        // One request per subfile, submitted once every member has encoded
-        // its document (concurrently — the slowest encode gates the group)
-        // and the encoded bytes have crossed the interconnect.
-        for (int g = 0; g < topo->ngroups(); ++g) {
-          const int agg = topo->aggregator_of_group(g);
-          std::uint64_t subfile_encoded = 0;
-          std::uint64_t shipped = 0;
-          int nmessages = 0;
-          double encode_gate = 0.0;
-          for (int r : topo->members_of(g)) {
-            const auto& enc = encs[static_cast<std::size_t>(r)];
-            subfile_encoded += enc.out_bytes;
-            encode_gate = std::max(encode_gate, enc.cpu_seconds);
-            if (r != agg) {
-              shipped += enc.out_bytes;
-              ++nmessages;
-            }
-          }
-          const double ready = submit_time + encode_gate +
-                               staging::ship_cost(agg_cfg, shipped, nmessages);
+      // One ship per group: every member encodes its document
+      // (concurrently — the slowest encode gates the group), then the
+      // encoded bytes cross the interconnect to the aggregator.
+      std::vector<GroupShip> ships;
+      if (run.aggregated()) {
+        ships = ship_schedule(
+            run, [&](int r) { return encs[static_cast<std::size_t>(r)]; });
+        // One request per subfile, submitted once its ship has landed.
+        for (int g = 0; g < run.topo->ngroups(); ++g) {
+          const GroupShip& s = ships[static_cast<std::size_t>(g)];
           stats.requests.push_back(pfs::IoRequest{
-              agg, ready, aggregated_file_path_for(params, *iface, g, dump),
-              subfile_encoded, tier});
+              s.aggregator, s.ready(submit_time),
+              aggregated_file_path(params, g, dump), s.subfile_encoded,
+              run.tier});
         }
       }
       // The root document reports the dump's task-data total, aggregated or
@@ -365,11 +436,11 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
         root_out.write(root);
         root_out.close();
       }
-      if (aggregated) {
+      if (run.aggregated()) {
         // Rank 0 writes the per-dump index locating every task document.
-        const std::string index_path =
-            aggregated_index_path_for(params, *iface, dump);
-        const std::string index = agg_index_text(params, *topo, dump, all_bytes);
+        const std::string index_path = aggregated_index_path(params, dump);
+        const std::string index =
+            agg_index_text(params, *run.topo, dump, all_bytes);
         AMRIO_ENSURES(index.size() == aggregated_index_bytes(params));
         {
           pfs::OutFile index_out(backend, index_path);
@@ -379,16 +450,16 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
         dump_bytes += index.size();
         if (trace != nullptr)
           trace->record_staged_write(dump, -1, 0, index_path, index.size(),
-                                     tier, -1);
+                                     run.tier, -1);
         stats.requests.push_back(
-            pfs::IoRequest{0, submit_time, index_path, index.size(), tier});
+            pfs::IoRequest{0, submit_time, index_path, index.size(), run.tier});
       }
       dump_bytes += root.size();
       if (trace != nullptr)
-        trace->record_staged_write(dump, -1, 0, root_path, root.size(), tier,
-                                   -1);
+        trace->record_staged_write(dump, -1, 0, root_path, root.size(),
+                                   run.tier, -1);
       stats.requests.push_back(
-          pfs::IoRequest{0, submit_time, root_path, root.size(), tier});
+          pfs::IoRequest{0, submit_time, root_path, root.size(), run.tier});
       stats.bytes_per_dump.push_back(dump_bytes);
       stats.total_bytes += dump_bytes;
 
@@ -425,44 +496,26 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
           encode_span[static_cast<std::size_t>(r)] =
               probe.tracer->record(std::move(es));
         }
-        if (aggregated) {
-          for (int g = 0; g < topo->ngroups(); ++g) {
-            const int agg = topo->aggregator_of_group(g);
-            double encode_gate = 0.0;
-            std::uint64_t shipped = 0;
-            int nmessages = 0;
-            for (int r : topo->members_of(g)) {
-              encode_gate = std::max(
-                  encode_gate, encs[static_cast<std::size_t>(r)].cpu_seconds);
-              if (r != agg) {
-                shipped += encs[static_cast<std::size_t>(r)].out_bytes;
-                ++nmessages;
-              }
-            }
-            const double ship_start = submit_time + encode_gate;
-            const double ready =
-                ship_start + staging::ship_cost(agg_cfg, shipped, nmessages);
-            if (ready <= ship_start) continue;
-            obs::Span ss;
-            ss.parent = phase;
-            ss.rank = agg;
-            ss.stage = "ship";
-            ss.detail = label;
-            ss.start = ship_start;
-            ss.end = ready;
-            ss.resource = "agg_link";
-            // The bandwidth part only: the per-message latency term does not
-            // shrink when the link gets faster, so the what-if engine must
-            // not scale it.
-            ss.service =
-                static_cast<double>(shipped) / agg_cfg.link_bandwidth;
-            ss.res = "agg_link";
-            const std::uint64_t ship = probe.tracer->record(std::move(ss));
-            for (int r : topo->members_of(g)) {
-              const std::uint64_t from =
-                  encode_span[static_cast<std::size_t>(r)];
-              if (from != 0) probe.tracer->edge(from, ship);
-            }
+        for (std::size_t g = 0; g < ships.size(); ++g) {
+          const GroupShip& s = ships[g];
+          const double ship_start = submit_time + s.gate;
+          const double ready = s.ready(submit_time);
+          if (ready <= ship_start) continue;
+          obs::Span ss;
+          ss.parent = phase;
+          ss.rank = s.aggregator;
+          ss.stage = "ship";
+          ss.detail = label;
+          ss.start = ship_start;
+          ss.end = ready;
+          ss.resource = "agg_link";
+          ss.service = s.link_service;
+          ss.res = "agg_link";
+          const std::uint64_t ship = probe.tracer->record(std::move(ss));
+          for (int r : run.topo->members_of(static_cast<int>(g))) {
+            const std::uint64_t from =
+                encode_span[static_cast<std::size_t>(r)];
+            if (from != 0) probe.tracer->edge(from, ship);
           }
         }
       }
@@ -476,24 +529,11 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
         for (int r = 0; r < params.nprocs; ++r)
           cpu_total += encs[static_cast<std::size_t>(r)].cpu_seconds;
         lg.add_busy("codec_cpu", cpu_total);
-        if (aggregated) {
-          lg.declare("agg_link", topo->ngroups());
-          for (int g = 0; g < topo->ngroups(); ++g) {
-            const int agg = topo->aggregator_of_group(g);
-            double encode_gate = 0.0;
-            std::uint64_t shipped = 0;
-            int nmessages = 0;
-            for (int r : topo->members_of(g)) {
-              encode_gate = std::max(
-                  encode_gate, encs[static_cast<std::size_t>(r)].cpu_seconds);
-              if (r != agg) {
-                shipped += encs[static_cast<std::size_t>(r)].out_bytes;
-                ++nmessages;
-              }
-            }
-            const double cost = staging::ship_cost(agg_cfg, shipped, nmessages);
-            lg.add_busy("agg_link", cost);
-            lg.extend_makespan(submit_time + encode_gate + cost);
+        if (run.aggregated()) {
+          lg.declare("agg_link", run.topo->ngroups());
+          for (const GroupShip& s : ships) {
+            lg.add_busy("agg_link", s.cost);
+            lg.extend_makespan(s.ready(submit_time));
           }
         }
       }
@@ -515,57 +555,38 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
 /// built once per run_restart and shared read-only by every rank — restart
 /// read sizes are predicted byte-exactly the same way write sizes are, with
 /// nothing read yet.
-staging::RestagePlan build_restage_plan(const Params& params,
-                                        const IoInterface& iface,
-                                        const codec::Codec& cdc) {
+staging::RestagePlan build_restage_plan(const RunPlan& run) {
+  const Params& params = run.params;
   const int dump = params.num_dumps - 1;
-  const bool aggregated = params.aggregators > 0;
-  std::optional<staging::AggTopology> topo;
-  if (aggregated)
-    topo = staging::AggTopology::make(params.nprocs, params.aggregators);
-  const PartSpec spec =
-      make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
+  const PartSpec& spec = run.specs[static_cast<std::size_t>(dump)];
   std::vector<std::string> files(static_cast<std::size_t>(params.nprocs));
   std::vector<std::uint64_t> doc_bytes(
       static_cast<std::size_t>(params.nprocs));
   for (int r = 0; r < params.nprocs; ++r) {
     const auto i = static_cast<std::size_t>(r);
-    files[i] = aggregated ? aggregated_file_path_for(params, iface,
-                                                     topo->group_of(r), dump)
-                          : dump_file_path_for(params, iface, r, dump);
-    doc_bytes[i] = iface.task_doc_bytes(spec, r, dump, params.parts_of_rank(r),
-                                        params.meta_size);
+    files[i] = run.aggregated()
+                   ? aggregated_file_path(params, run.topo->group_of(r), dump)
+                   : dump_file_path(params, r, dump);
+    doc_bytes[i] = run.iface->task_doc_bytes(
+        spec, r, dump, params.parts_of_rank(r), params.meta_size);
   }
-  return staging::make_restage_plan(files, doc_bytes, cdc,
-                                    aggregated ? &*topo : nullptr);
+  return staging::make_restage_plan(files, doc_bytes, *run.cdc,
+                                    run.aggregated() ? &*run.topo : nullptr);
 }
 
 /// The single SPMD restart body: the dump loop in reverse for the last
 /// written dump, reading through the shared `plan`. Rank 0 returns the full
 /// statistics; other ranks return empty stats.
-RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
-                              const IoInterface& iface,
-                              const codec::Codec& cdc,
+RestartStats run_restart_rank(exec::RankCtx& ctx, const RunPlan& run,
                               const staging::RestagePlan& plan,
                               pfs::StorageBackend& backend,
                               iostats::TraceRecorder* trace, obs::Probe probe) {
-  AMRIO_EXPECTS_MSG(ctx.nranks() == params.nprocs,
-                    "run_restart: engine ranks " << ctx.nranks()
-                                                 << " != nprocs "
-                                                 << params.nprocs);
+  const Params& params = run.params;
+  const codec::Codec& cdc = *run.cdc;
   const int rank = ctx.rank();
   constexpr int kRestageTag = 74;
   const int dump = params.num_dumps - 1;  // restart from the last checkpoint
-
-  const bool aggregated = params.aggregators > 0;
-  std::optional<staging::AggTopology> topo;
-  if (aggregated)
-    topo = staging::AggTopology::make(params.nprocs, params.aggregators);
-  const staging::AggregationConfig agg_cfg{params.aggregators,
-                                           params.agg_link_bandwidth, 1.0e-6};
-  const bool encoded = params.codec_spec().enabled();
-  const int read_tier =
-      params.restart_from_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs;
+  const bool aggregated = run.aggregated();
   const staging::RestageSlice& mine =
       plan.slices[static_cast<std::size_t>(rank)];
 
@@ -591,9 +612,9 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     // wire (sealed in place behind header headroom), and moves them back out
     // over scatterv_group; every member views its own payload — encoded
     // bytes cross the link, raw bytes come back.
-    const int group = topo->group_of(rank);
-    const int agg = topo->aggregator_of_group(group);
-    const auto members = topo->members_of(group);
+    const int group = run.topo->group_of(rank);
+    const int agg = run.topo->aggregator_of_group(group);
+    const auto members = run.topo->members_of(group);
     std::vector<std::vector<std::byte>> payloads;
     if (rank == agg) {
       validate_extent(my_extent);
@@ -635,8 +656,9 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
 
   if (trace != nullptr)
     trace->record_read(dump, 0, rank, mine.file, mine.raw_bytes,
-                       encoded ? mine.encoded_bytes : 0, mine.decode_seconds,
-                       read_tier, aggregated ? topo->group_of(rank) : -1);
+                       run.encoded ? mine.encoded_bytes : 0,
+                       mine.decode_seconds, run.tier,
+                       aggregated ? run.topo->group_of(rank) : -1);
 
   const auto all_bytes =
       ctx.gather(static_cast<std::uint64_t>(doc.size()), 0);
@@ -660,25 +682,26 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     stats.raw_bytes = plan.raw_bytes();
     stats.encoded_bytes = plan.encoded_bytes();
     stats.decode_gate = plan.decode_gate();
-    std::vector<double> group_cost;  // per-group fan-out cost (aggregated)
+    // The dump's ship in reverse: each group's encoded documents fan back
+    // out from its aggregator, and the slowest scatter gates the restart.
+    std::vector<GroupShip> ships;
     if (aggregated) {
-      // Concurrent groups: the slowest scatter gates the restart.
-      group_cost.assign(static_cast<std::size_t>(topo->ngroups()), 0.0);
-      for (int g = 0; g < topo->ngroups(); ++g) {
-        const int agg = topo->aggregator_of_group(g);
-        std::uint64_t shipped = 0;
-        int nmessages = 0;
-        for (int r : topo->members_of(g)) {
-          if (r == agg) continue;
-          shipped += plan.slices[static_cast<std::size_t>(r)].encoded_bytes;
-          ++nmessages;
-        }
-        group_cost[static_cast<std::size_t>(g)] =
-            staging::ship_cost(agg_cfg, shipped, nmessages);
-        stats.scatter_seconds = std::max(stats.scatter_seconds,
-                                         group_cost[static_cast<std::size_t>(g)]);
-      }
+      ships = ship_schedule(run, [&](int r) {
+        const staging::RestageSlice& s = plan.slices[static_cast<std::size_t>(r)];
+        return codec::CompressResult{s.raw_bytes, s.encoded_bytes,
+                                     s.decode_seconds};
+      });
+      for (const GroupShip& s : ships)
+        stats.scatter_seconds = std::max(stats.scatter_seconds, s.cost);
     }
+    // When rank r's document has arrived: its group's scatter cost
+    // (aggregated) or the restart epoch (direct reads are timed by the SimFs
+    // replay instead).
+    auto arrival = [&](int r) {
+      return aggregated
+                 ? ships[static_cast<std::size_t>(run.topo->group_of(r))].cost
+                 : 0.0;
+    };
     stats.requests = plan.read_requests(0.0, params.restart_from_bb);
     // Metadata read-back: the root document, and under aggregation the index
     // locating every task document — always cold PFS reads (metadata never
@@ -686,9 +709,9 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     if (trace != nullptr)
       for (const auto& req : stats.requests)
         if (req.op == pfs::kOpPrefetch)
-          trace->record_prefetch(dump, 0, req.client, req.file, req.bytes,
-                                 req.tier,
-                                 aggregated ? topo->group_of(req.client) : -1);
+          trace->record_prefetch(
+              dump, 0, req.client, req.file, req.bytes, req.tier,
+              aggregated ? run.topo->group_of(req.client) : -1);
     auto read_meta = [&](const std::string& path) {
       const std::uint64_t meta_bytes = backend.size(path);
       stats.requests.push_back(pfs::IoRequest{0, 0.0, path, meta_bytes,
@@ -698,7 +721,7 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
                            pfs::kTierPfs, -1);
     };
     read_meta(root_file_path(params, dump));
-    if (aggregated) read_meta(aggregated_index_path_for(params, iface, dump));
+    if (aggregated) read_meta(aggregated_index_path(params, dump));
 
     if (probe.metrics) {
       probe.metrics->add("macsio.restarts", 1);
@@ -709,66 +732,50 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     }
     if (probe.tracer) {
       // Dump-side instrumentation in reverse, emitted by rank 0 from the
-      // pure restage plan — engine-invariant like the dump spans. Data
-      // arrival is the group's scatter cost (aggregated) or the restart
-      // epoch (direct reads are timed by the SimFs replay instead).
+      // pure restage plan — engine-invariant like the dump spans.
       const std::string label = "restart " + std::to_string(dump);
       double phase_end = 0.0;
-      for (int r = 0; r < params.nprocs; ++r) {
-        const double arrival =
-            aggregated ? group_cost[static_cast<std::size_t>(topo->group_of(r))]
-                       : 0.0;
+      for (int r = 0; r < params.nprocs; ++r)
         phase_end = std::max(
-            arrival + plan.slices[static_cast<std::size_t>(r)].decode_seconds,
+            arrival(r) + plan.slices[static_cast<std::size_t>(r)].decode_seconds,
             phase_end);
-      }
       const std::uint64_t phase = probe.tracer->record(
           obs::Span{0, 0, -1, "restart", label, 0.0, phase_end});
-      std::vector<std::uint64_t> scatter_span;
-      if (aggregated) {
-        scatter_span.assign(static_cast<std::size_t>(topo->ngroups()), 0);
-        for (int g = 0; g < topo->ngroups(); ++g) {
-          if (group_cost[static_cast<std::size_t>(g)] <= 0.0) continue;
-          const int agg = topo->aggregator_of_group(g);
-          std::uint64_t shipped = 0;
-          for (int r : topo->members_of(g))
-            if (r != agg)
-              shipped += plan.slices[static_cast<std::size_t>(r)].encoded_bytes;
-          obs::Span sc;
-          sc.parent = phase;
-          sc.rank = agg;
-          sc.stage = "scatter";
-          sc.detail = label;
-          sc.start = 0.0;
-          sc.end = group_cost[static_cast<std::size_t>(g)];
-          sc.resource = "agg_link";
-          // Bandwidth part only — the per-message latency term is invariant
-          // under link relief (see the ship span).
-          sc.service = static_cast<double>(shipped) / agg_cfg.link_bandwidth;
-          sc.res = "agg_link";
-          scatter_span[static_cast<std::size_t>(g)] =
-              probe.tracer->record(std::move(sc));
-        }
+      std::vector<std::uint64_t> scatter_span(ships.size(), 0);
+      for (std::size_t g = 0; g < ships.size(); ++g) {
+        const GroupShip& s = ships[g];
+        if (s.cost <= 0.0) continue;
+        obs::Span sc;
+        sc.parent = phase;
+        sc.rank = s.aggregator;
+        sc.stage = "scatter";
+        sc.detail = label;
+        sc.start = 0.0;
+        sc.end = s.cost;
+        sc.resource = "agg_link";
+        sc.service = s.link_service;
+        sc.res = "agg_link";
+        scatter_span[g] = probe.tracer->record(std::move(sc));
       }
       for (int r = 0; r < params.nprocs; ++r) {
         const double decode =
             plan.slices[static_cast<std::size_t>(r)].decode_seconds;
         if (decode <= 0.0) continue;
-        const int g = aggregated ? topo->group_of(r) : -1;
-        const double arrival =
-            aggregated ? group_cost[static_cast<std::size_t>(g)] : 0.0;
         obs::Span ds;
         ds.parent = phase;
         ds.rank = r;
         ds.stage = "decode";
         ds.detail = label;
-        ds.start = arrival;
-        ds.end = arrival + decode;
+        ds.start = arrival(r);
+        ds.end = arrival(r) + decode;
         ds.service = decode;
         ds.res = "codec_cpu";
         const std::uint64_t span = probe.tracer->record(std::move(ds));
-        if (aggregated && scatter_span[static_cast<std::size_t>(g)] != 0)
-          probe.tracer->edge(scatter_span[static_cast<std::size_t>(g)], span);
+        if (aggregated) {
+          const std::uint64_t from =
+              scatter_span[static_cast<std::size_t>(run.topo->group_of(r))];
+          if (from != 0) probe.tracer->edge(from, span);
+        }
       }
     }
     if (probe.ledger) {
@@ -779,16 +786,12 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
         const double decode =
             plan.slices[static_cast<std::size_t>(r)].decode_seconds;
         decode_total += decode;
-        const double arrival =
-            aggregated ? group_cost[static_cast<std::size_t>(topo->group_of(r))]
-                       : 0.0;
-        lg.extend_makespan(arrival + decode);
+        lg.extend_makespan(arrival(r) + decode);
       }
       lg.add_busy("codec_cpu", decode_total);
       if (aggregated) {
-        lg.declare("agg_link", topo->ngroups());
-        for (int g = 0; g < topo->ngroups(); ++g)
-          lg.add_busy("agg_link", group_cost[static_cast<std::size_t>(g)]);
+        lg.declare("agg_link", run.topo->ngroups());
+        for (const GroupShip& s : ships) lg.add_busy("agg_link", s.cost);
       }
     }
   }
@@ -810,14 +813,12 @@ std::uint64_t restart_hash(std::span<const std::byte> data) {
 RestartStats run_restart(exec::Engine& engine, const Params& params,
                          pfs::StorageBackend& backend,
                          iostats::TraceRecorder* trace, obs::Probe probe) {
-  params.validate();
-  const auto iface = make_interface(params.interface);
-  const auto cdc = codec::make_codec(params.codec_spec());
-  const staging::RestagePlan plan = build_restage_plan(params, *iface, *cdc);
+  const RunPlan run(params, engine, "run_restart", params.restart_from_bb);
+  const staging::RestagePlan plan = build_restage_plan(run);
   RestartStats result;
   engine.run([&](exec::RankCtx& ctx) {
-    RestartStats local = run_restart_rank(ctx, params, *iface, *cdc, plan,
-                                          backend, trace, probe);
+    RestartStats local =
+        run_restart_rank(ctx, run, plan, backend, trace, probe);
     if (ctx.rank() == 0) result = std::move(local);
   });
   return result;
@@ -826,9 +827,10 @@ RestartStats run_restart(exec::Engine& engine, const Params& params,
 DumpStats run_macsio(exec::Engine& engine, const Params& params,
                      pfs::StorageBackend& backend,
                      iostats::TraceRecorder* trace, obs::Probe probe) {
+  const RunPlan run(params, engine, "run_macsio", params.stage_to_bb);
   DumpStats result;
   engine.run([&](exec::RankCtx& ctx) {
-    DumpStats local = run_macsio_rank(ctx, params, backend, trace, probe);
+    DumpStats local = run_macsio_rank(ctx, run, backend, trace, probe);
     if (ctx.rank() == 0) result = std::move(local);
   });
   return result;

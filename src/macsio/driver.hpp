@@ -20,12 +20,17 @@
 /// files; the subfile holds the group's documents in rank order,
 /// byte-conserving against `task_doc_bytes()`.
 ///
-/// There is ONE driver body, written SPMD-style against `exec::RankCtx`
-/// (MIF baton-passing between group members, end-of-dump gather to rank 0).
-/// How the ranks execute is the engine's choice: `exec::EventEngine` runs
-/// them as virtual ranks on one thread (the calibrator's replays and the
-/// machine-scale dumps), and `exec::SpmdEngine` runs them as real simmpi
-/// threads — byte-identical by construction.
+/// `run_macsio` and `run_restart` have one shape: a plan built once per call
+/// (validated parameters, one interface, one codec, the aggregation topology
+/// and tier; the restart adds its `staging::RestagePlan`) and one rank body,
+/// written SPMD-style against `exec::RankCtx` (MIF baton-passing between
+/// group members, end-of-dump gather to rank 0), that every rank runs
+/// against the shared plan. Each group's ship over the aggregation link is
+/// computed in one place, for the dump's requests, spans and ledger and for
+/// the restart's scatter alike. How the ranks execute is the engine's
+/// choice: `exec::EventEngine` runs them as virtual ranks on one thread (the
+/// calibrator's replays and the machine-scale dumps), and `exec::SpmdEngine`
+/// runs them as real simmpi threads — byte-identical by construction.
 
 #include <cstdint>
 #include <span>

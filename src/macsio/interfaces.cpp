@@ -38,9 +38,6 @@ namespace {
 
 class MiftmplInterface final : public IoInterface {
  public:
-  std::string file_tag() const override { return "json"; }
-  std::string extension() const override { return "json"; }
-
   void begin_task_doc(Sink& sink, int rank, int dump) const override {
     sink.write("{\"task\":" + std::to_string(rank) +
                ",\"dump\":" + std::to_string(dump) + ",\"parts\":[");
@@ -124,9 +121,6 @@ class MiftmplInterface final : public IoInterface {
 
 class H5LiteInterface : public IoInterface {
  public:
-  std::string file_tag() const override { return "h5"; }
-  std::string extension() const override { return "h5"; }
-
   void begin_task_doc(Sink& sink, int rank, int dump) const override {
     char header[32];
     std::memcpy(header, "H5LITE01", 8);
@@ -197,9 +191,6 @@ class H5LiteInterface : public IoInterface {
 
 class RawInterface final : public H5LiteInterface {
  public:
-  std::string file_tag() const override { return "raw"; }
-  std::string extension() const override { return "bin"; }
-
   void begin_task_doc(Sink&, int, int) const override {}
 
   void write_part(Sink& sink, const PartSpec& spec, int /*part_id*/,

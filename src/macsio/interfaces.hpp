@@ -75,10 +75,6 @@ class VectorSink final : public Sink {
 class IoInterface {
  public:
   virtual ~IoInterface() = default;
-  /// Short name used in output file names ("json", "h5", "raw"), matching the
-  /// paper's `macsio_json_{task}_{step}.json` pattern for the json interface.
-  virtual std::string file_tag() const = 0;
-  virtual std::string extension() const = 0;
 
   /// Serialize one part. Values are deterministic pseudo-data (kReal) or
   /// zeros (kSized) — byte counts are identical either way.

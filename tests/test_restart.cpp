@@ -3,11 +3,13 @@
 /// reverse ship, the codec decode model and the CodecStats encode/decode
 /// split, the MACSio restart loop (byte-identical read-back across engines
 /// at 32 ranks / 8 aggregators, byte conservation, decode accounting, trace
-/// read/prefetch events), and the plotfile restart read plan.
+/// read/prefetch events), restarts from truncated, deleted and bit-flipped
+/// checkpoints, and the plotfile restart read plan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -556,6 +558,122 @@ TEST(MacsioRestartScale, UnaggregatedEventRestartAt4096Ranks) {
   EXPECT_EQ(restart.raw_bytes, want.raw_bytes());
   EXPECT_DOUBLE_EQ(restart.scatter_seconds, 0.0);
 }
+
+// ---------------------------------------------- corrupted checkpoints
+
+namespace {
+
+/// The gio create_io_data / validate_io_data pattern: write a real-filled
+/// checkpoint into a content-storing backend, damage a copy of it, and check
+/// what the restart reports against the pristine bytes.
+struct Checkpoint {
+  mc::Params params;
+  p::MemoryBackend written{true};
+  st::RestagePlan plan;
+
+  explicit Checkpoint(mc::Params p) : params(std::move(p)) {
+    ex::EventEngine engine(params.nprocs);
+    (void)mc::run_macsio(engine, params, written);
+    plan = reference_plan(params);
+  }
+
+  /// Copy the checkpoint into `out` with `path` left out (deleted), or
+  /// replaced by `edit` applied to its bytes.
+  void copy(p::MemoryBackend& out, const std::string& path,
+            const std::function<void(std::vector<std::byte>&)>& edit = {})
+      const {
+    for (const std::string& f : written.list("")) {
+      std::vector<std::byte> bytes = written.read(f);
+      if (f == path) {
+        if (!edit) continue;
+        edit(bytes);
+      }
+      p::OutFile file(out, f);
+      file.write(std::span<const std::byte>(bytes));
+      file.close();
+    }
+  }
+
+  /// Restart from `be`; the ContractViolation message, or "" on success.
+  std::string restart_error(p::MemoryBackend& be) const {
+    ex::EventEngine engine(params.nprocs);
+    try {
+      (void)mc::run_restart(engine, params, be);
+    } catch (const amrio::ContractViolation& e) {
+      return e.what();
+    }
+    return {};
+  }
+
+  /// Flip one byte inside rank `rank`'s document and check that the restart
+  /// flags exactly that rank: its hash moves, every other rank's hash is the
+  /// hash of the bytes it originally wrote.
+  void expect_flip_flags_only(int rank) const {
+    const st::RestageSlice& victim = plan.slices[static_cast<std::size_t>(rank)];
+    p::MemoryBackend be(true);
+    copy(be, victim.file, [&](std::vector<std::byte>& b) {
+      b[victim.offset + victim.raw_bytes / 2] ^= std::byte{0x20};
+    });
+    ex::EventEngine engine(params.nprocs);
+    const auto restart = mc::run_restart(engine, params, be);
+    ASSERT_EQ(restart.task_hash.size(), plan.slices.size());
+    for (const st::RestageSlice& s : plan.slices) {
+      const std::uint64_t want = mc::restart_hash(
+          written.read_range(s.file, s.offset, s.raw_bytes));
+      const std::uint64_t got = restart.task_hash[static_cast<std::size_t>(s.rank)];
+      if (s.rank == rank)
+        EXPECT_NE(got, want) << "flipped byte not flagged on rank " << rank;
+      else
+        EXPECT_EQ(got, want) << "rank " << s.rank << " disturbed by the flip";
+    }
+  }
+};
+
+mc::Params corrupt_params(int aggregators) {
+  mc::Params params = restart_params(16, aggregators);
+  if (aggregators == 0) params.mif_files = 4;
+  params.codec = "ebl";
+  return params;
+}
+
+}  // namespace
+
+class CorruptedCheckpoint : public ::testing::TestWithParam<int> {};
+
+TEST_P(CorruptedCheckpoint, TruncatedDataFileDriftsFromThePlan) {
+  const Checkpoint ck(corrupt_params(GetParam()));
+  const std::string& file = ck.plan.slices[5].file;
+  p::MemoryBackend be(true);
+  ck.copy(be, file, [](std::vector<std::byte>& b) { b.resize(b.size() - 7); });
+  const std::string err = ck.restart_error(be);
+  EXPECT_NE(err.find("drifted from the planned size"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find(file), std::string::npos) << err;
+}
+
+TEST_P(CorruptedCheckpoint, DeletedDataFileIsMissing) {
+  const Checkpoint ck(corrupt_params(GetParam()));
+  const std::string& file = ck.plan.slices[5].file;
+  p::MemoryBackend be(true);
+  ck.copy(be, file);
+  ASSERT_FALSE(be.exists(file));
+  const std::string err = ck.restart_error(be);
+  EXPECT_NE(err.find("dump file missing"), std::string::npos) << err;
+  EXPECT_NE(err.find(file), std::string::npos) << err;
+}
+
+TEST_P(CorruptedCheckpoint, FlippedByteChangesOnlyItsRanksHash) {
+  const Checkpoint ck(corrupt_params(GetParam()));
+  // a document inside a shared file (not its first), then the file's first
+  ck.expect_flip_flags_only(5);
+  ck.expect_flip_flags_only(4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, CorruptedCheckpoint, ::testing::Values(4, 0),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param > 0 ? std::string("Aggregated")
+                                                 : std::string("DirectMif");
+                         });
 
 TEST(MacsioRestartCli, KnobsParseValidateAndRoundTrip) {
   const auto params = mc::Params::from_cli(
