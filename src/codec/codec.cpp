@@ -43,12 +43,6 @@ double SmoothnessEstimator::value() const {
   return std::clamp(1.0 - mean_dd, 0.0, 1.0);
 }
 
-double estimate_smoothness(std::span<const double> values) {
-  SmoothnessEstimator est;
-  est.add(values);
-  return est.value();
-}
-
 // ------------------------------------------------------------ container
 
 namespace {
@@ -96,16 +90,6 @@ CompressResult read_header(std::span<const std::byte> blob,
     throw std::runtime_error("codec '" + codec_name +
                              "': container payload size mismatch");
   return r;
-}
-
-/// `raw` copied behind `header` bytes of headroom — the buffer shape
-/// `Codec::seal` encodes in place.
-std::vector<std::byte> with_headroom(std::size_t header,
-                                     std::span<const std::byte> raw) {
-  std::vector<std::byte> blob(header + raw.size());
-  std::copy(raw.begin(), raw.end(),
-            blob.begin() + static_cast<std::ptrdiff_t>(header));
-  return blob;
 }
 
 double cpu_cost(std::uint64_t raw_bytes, double throughput) {
@@ -247,12 +231,6 @@ class EblCodec final : public Codec {
                           cpu_cost(raw_bytes, throughput_)};
   }
 
-  CompressResult plan_values(std::span<const double> values) const override {
-    const double s = smoothness_ >= 0.0 ? smoothness_
-                                        : estimate_smoothness(values);
-    return plan_with(values.size_bytes(), s);
-  }
-
   double decode_seconds(std::uint64_t raw_bytes) const override {
     return cpu_cost(raw_bytes, decode_throughput_);
   }
@@ -299,12 +277,6 @@ class MultiVarEblCodec final : public Codec {
                       });
   }
 
-  CompressResult plan_values(std::span<const double> values) const override {
-    // One smoothness estimate for the whole document (variables share the
-    // mesh), then per-variable bounds over the shares.
-    return plan_with(values.size_bytes(), estimate_smoothness(values));
-  }
-
   double decode_seconds(std::uint64_t raw_bytes) const override {
     double total = 0.0;
     const std::uint64_t n = vars_.size();
@@ -337,7 +309,7 @@ class MultiVarEblCodec final : public Codec {
 
 }  // namespace
 
-// --------------------------------------------------- base encode/decode
+// ------------------------------------------------------ base container
 
 std::size_t Codec::header_bytes() const { return kHeaderBytes; }
 
@@ -354,25 +326,14 @@ std::span<const std::byte> Codec::payload(
   return blob.subspan(kHeaderBytes);
 }
 
-std::vector<std::byte> Codec::encode(std::span<const std::byte> raw,
-                                     CompressResult* result) const {
-  std::vector<std::byte> blob = with_headroom(header_bytes(), raw);
-  const CompressResult r = seal(blob);
-  if (result != nullptr) *result = r;
-  return blob;
-}
-
 std::vector<std::byte> Codec::encode_as(std::span<const std::byte> raw,
                                         const CompressResult& result) const {
   AMRIO_EXPECTS(result.raw_bytes == raw.size());
-  std::vector<std::byte> blob = with_headroom(kHeaderBytes, raw);
+  std::vector<std::byte> blob(kHeaderBytes + raw.size());
+  std::copy(raw.begin(), raw.end(),
+            blob.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes));
   write_header(blob, result);
   return blob;
-}
-
-std::vector<std::byte> Codec::decode(std::span<const std::byte> blob) const {
-  const std::span<const std::byte> body = payload(blob);
-  return std::vector<std::byte>(body.begin(), body.end());
 }
 
 CompressResult Codec::peek(std::span<const std::byte> blob) const {

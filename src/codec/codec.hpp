@@ -21,20 +21,21 @@
 ///    value are log2(roughness / error_bound) plus a fixed entropy-coder
 ///    overhead, so the ratio is a function of the error bound and the FAB
 ///    smoothness — estimated from real field data when contents are
-///    available (`plan_values` / `SmoothnessEstimator` over Sedov fabs),
+///    available (`SmoothnessEstimator` over Sedov fabs, fed to `plan_with`),
 ///    otherwise taken from the configured/default smoothness.
 ///
 /// Codecs are immutable and stateless after construction: one instance can
 /// serve concurrent SPMD ranks.
 ///
-/// Physical encoding (`encode`/`decode`) wraps the raw payload in a small
-/// self-describing container carrying the modeled result, so shipped/staged
-/// data round-trips byte-exactly while every accounting point uses the
-/// modeled `CompressResult::out_bytes` — a simulator compresses sizes and
-/// clocks, not information. The zero-copy forms (`seal`/`payload`) work on
-/// a buffer in place: a writer serializes behind `header_bytes()` of
-/// headroom and seals the header over it, a reader views the payload inside
-/// the blob. `encode`/`decode` are the copying conveniences built on them.
+/// Physical encoding wraps the raw payload in a small self-describing
+/// container carrying the modeled result, so shipped/staged data round-trips
+/// byte-exactly while every accounting point uses the modeled
+/// `CompressResult::out_bytes` — a simulator compresses sizes and clocks,
+/// not information. The container is built in place: a writer serializes
+/// behind `header_bytes()` of headroom and `seal`s the header over it, a
+/// reader views the payload inside the blob with `payload` and reads the
+/// model back with `peek`. `encode_as` is the one copying form, for callers
+/// that carry a content-aware result of their own.
 
 #include <cstdint>
 #include <memory>
@@ -76,9 +77,6 @@ class SmoothnessEstimator {
   bool any_ = false;
 };
 
-/// One-shot convenience over a single span.
-double estimate_smoothness(std::span<const double> values);
-
 class Codec {
  public:
   virtual ~Codec() = default;
@@ -98,13 +96,6 @@ class Codec {
     return plan(raw_bytes);
   }
 
-  /// Content-aware model over numeric field data (the plotfile Cell_D hook):
-  /// `ebl` configured for auto smoothness estimates it from the values;
-  /// everything else reduces to `plan(values.size_bytes())`.
-  virtual CompressResult plan_values(std::span<const double> values) const {
-    return plan(values.size_bytes());
-  }
-
   /// Modeled decode cpu cost of restoring `raw_bytes` of original data —
   /// what a restart reader pays after fetching encoded bytes off the
   /// PFS/tier, before the solver resumes. A pure function of `raw_bytes`
@@ -122,31 +113,23 @@ class Codec {
   /// Encode in place: `blob` holds `header_bytes()` of headroom followed by
   /// the raw payload; the container header (carrying `plan(payload size)`) is
   /// written over the headroom and the result returned. The sealed blob is
-  /// byte-identical to what `encode` returns for the same payload.
+  /// byte-identical to `encode_as(payload, plan(payload size))`.
   virtual CompressResult seal(std::span<std::byte> blob) const;
-  /// Validated view of the raw payload inside an encoded blob — `decode`
-  /// without the copy. Throws std::runtime_error on a blob this codec did
-  /// not produce or whose header disagrees with its payload size. Identity
-  /// returns the blob itself.
+  /// Validated view of the raw payload inside an encoded blob, without a
+  /// copy. Throws std::runtime_error on a blob this codec did not produce or
+  /// whose header disagrees with its payload size. Identity returns the blob
+  /// itself.
   virtual std::span<const std::byte> payload(
       std::span<const std::byte> blob) const;
 
-  /// Encode a chunk for the wire/tier: a copy of `raw` behind fresh headroom,
-  /// sealed. The returned blob decodes byte-exactly via `decode`; its
-  /// accounted size is `result.out_bytes` (the model), not `blob.size()`.
-  /// Identity returns the raw bytes unchanged; modeling codecs wrap them in a
-  /// 32-byte container carrying the CompressResult.
-  std::vector<std::byte> encode(std::span<const std::byte> raw,
-                                CompressResult* result = nullptr) const;
   /// Encode with a caller-computed result (content-aware callers: the
-  /// plotfile hook measures FAB smoothness before shipping) — the container
-  /// carries `result` verbatim so `peek` at the receiver sees the same model.
-  /// Identity ignores the result and stays a passthrough.
+  /// plotfile hook measures FAB smoothness before shipping): a copy of `raw`
+  /// behind a container that carries `result` verbatim, so `peek` at the
+  /// receiver sees the same model and `payload` returns `raw` byte-exactly.
+  /// The accounted size is `result.out_bytes`, not the blob size. Identity
+  /// ignores the result and returns the raw bytes unchanged.
   virtual std::vector<std::byte> encode_as(std::span<const std::byte> raw,
                                            const CompressResult& result) const;
-  /// Inverse of `encode` — byte-exact: a copy of `payload(blob)`. Throws
-  /// std::runtime_error on a blob this codec did not produce.
-  std::vector<std::byte> decode(std::span<const std::byte> blob) const;
   /// The CompressResult embedded in an encoded blob (what the encoder
   /// modeled), without copying the payload. Identity plans the blob itself.
   virtual CompressResult peek(std::span<const std::byte> blob) const;

@@ -24,15 +24,8 @@ class CommCtx final : public RankCtx {
   int rank() const override { return comm_->rank(); }
   int nranks() const override { return comm_->size(); }
   void barrier() override { comm_->barrier(); }
-  std::uint64_t exscan_sum(std::uint64_t v) override {
-    return comm_->exscan_sum(v);
-  }
   std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
     return comm_->gather(v, root);
-  }
-  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                 int root) override {
-    return comm_->gatherv(bytes, root);
   }
   void send_token(std::uint64_t value, int dest, int tag) override {
     comm_->send(std::span<const std::uint64_t>(&value, 1), dest, tag);

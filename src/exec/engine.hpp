@@ -5,8 +5,9 @@
 /// The drivers in this repository (the MACSio dump loop, the AMReX plotfile
 /// writer) are SPMD programs: every rank executes the same body, synchronizing
 /// through a small set of collectives and MIF baton messages. Drivers are
-/// written once against `RankCtx` (rank id, barrier, exscan_sum,
-/// gather/gatherv, tagged token and byte-payload send/recv) and an `Engine`
+/// written once against `RankCtx` (rank id, barrier, a rooted one-value
+/// gather, tagged token and byte-payload send/recv) plus the group ship
+/// helpers built on it (`gatherv_group`/`scatterv_group`), and an `Engine`
 /// decides how the ranks execute. There are two:
 ///
 ///  * `EventEngine` — the in-process engine, used everywhere by default:
@@ -60,14 +61,9 @@ class RankCtx {
 
   /// Synchronize all ranks.
   virtual void barrier() = 0;
-  /// Exclusive prefix sum; rank 0 receives 0 (MPI_Exscan with MPI_SUM).
-  virtual std::uint64_t exscan_sum(std::uint64_t v) = 0;
   /// Gather one value per rank to `root` (root receives nranks() values in
   /// rank order; other ranks receive an empty vector).
   virtual std::vector<std::uint64_t> gather(std::uint64_t v, int root) = 0;
-  /// Variable-length byte gather, concatenated in rank order at `root`.
-  virtual std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                         int root) = 0;
   /// Tagged point-to-point token (the MIF baton): buffered send.
   virtual void send_token(std::uint64_t value, int dest, int tag) = 0;
   /// Blocking tagged token receive.
@@ -91,10 +87,9 @@ using PayloadFn = std::function<void(int member, std::vector<std::byte> payload)
 /// `members` (strictly ascending rank ids) contributes `mine`; at `root`
 /// (which must be a member) `on_payload` runs once per member, in member
 /// order, as each message arrives — the root's own `mine` at its member
-/// position. Other members only send and never call `on_payload`. Unlike
-/// RankCtx::gatherv this is *not* a global collective — only the listed
-/// members participate, so several aggregation groups can gather
-/// concurrently. This is the two-phase collective the staging layer uses to
+/// position. Other members only send and never call `on_payload`. This is
+/// *not* a global collective — only the listed members participate, so
+/// several aggregation groups can gather concurrently. This is the two-phase collective the staging layer uses to
 /// ship task documents to aggregators: the root consumes (writes) each
 /// payload before it receives the next, so it never holds the whole group.
 /// A non-empty `probe` counts the ship on the metrics registry

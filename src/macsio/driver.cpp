@@ -522,12 +522,18 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const RunPlan& run,
       if (probe.ledger) {
         // Pool view of the same plan() results: the codec CPU pool (one lane
         // per rank) holds lanes for their encode seconds, the agg link pool
-        // (one link per group) for the ship window.
+        // (one link per group) for the ship window. Every lane's encode ends
+        // inside the epoch, so the makespan covers it; a group's ship starts
+        // after its slowest member's encode, so for aggregated dumps this
+        // never moves the makespan past the ship windows.
         obs::ResourceLedger& lg = *probe.ledger;
         lg.declare("codec_cpu", params.nprocs);
         double cpu_total = 0.0;
-        for (int r = 0; r < params.nprocs; ++r)
-          cpu_total += encs[static_cast<std::size_t>(r)].cpu_seconds;
+        for (int r = 0; r < params.nprocs; ++r) {
+          const double cpu = encs[static_cast<std::size_t>(r)].cpu_seconds;
+          cpu_total += cpu;
+          lg.extend_makespan(submit_time + cpu);
+        }
         lg.add_busy("codec_cpu", cpu_total);
         if (run.aggregated()) {
           lg.declare("agg_link", run.topo->ngroups());

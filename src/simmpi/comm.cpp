@@ -1,9 +1,15 @@
 #include "simmpi/comm.hpp"
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <exception>
+#include <map>
+#include <mutex>
 #include <thread>
+#include <tuple>
 
 namespace amrio::simmpi {
 
@@ -15,13 +21,11 @@ struct Mailbox {
 
 struct State {
   explicit State(int n)
-      : size(n), bar(n), slots(static_cast<std::size_t>(n), nullptr),
-        staging(static_cast<std::size_t>(n)) {}
+      : size(n), bar(n), slots(static_cast<std::size_t>(n), nullptr) {}
 
   int size;
   std::barrier<> bar;
   std::vector<const void*> slots;
-  std::vector<std::vector<std::byte>> staging;
 
   std::atomic<bool> failed{false};
   std::mutex error_mu;
@@ -47,16 +51,6 @@ void Comm::put_slot(const void* p) {
 
 const void* Comm::get_slot(int rank) const {
   return state_->slots[static_cast<std::size_t>(rank)];
-}
-
-void Comm::stage_bytes(std::span<const std::byte> bytes) {
-  auto& buf = state_->staging[static_cast<std::size_t>(rank_)];
-  buf.assign(bytes.begin(), bytes.end());
-}
-
-std::span<const std::byte> Comm::staged_bytes(int rank) const {
-  const auto& buf = state_->staging[static_cast<std::size_t>(rank)];
-  return {buf.data(), buf.size()};
 }
 
 void Comm::send_bytes(const void* data, std::size_t bytes, int dest, int tag) {

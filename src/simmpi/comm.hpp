@@ -5,29 +5,27 @@
 /// The paper's runs use `jsrun -n nproc` on Summit; this library replays the
 /// same rank-parallel structure inside one process so the study runs with no
 /// MPI installation. Each virtual rank is a thread; collectives synchronize
-/// through a shared std::barrier and staging slots, and point-to-point
+/// through a shared std::barrier and per-rank slots, and point-to-point
 /// messages go through per-(src,dst,tag) mailboxes.
 ///
-/// Semantics follow MPI where it matters for the proxy workloads:
+/// The surface is what `exec::SpmdEngine` forwards to — the threaded parity
+/// reference for the event engine: `barrier`, a rooted one-value `gather`,
+/// and tagged `send`/`recv`. Semantics follow MPI where it matters for the
+/// proxy workloads:
 ///  * collectives must be called by every rank (SPMD lockstep);
-///  * `gather`/`gatherv` deliver data only at the root;
-///  * `exscan` gives rank 0 the identity element (used for SIF file offsets);
+///  * `gather` delivers data only at the root;
 ///  * an uncaught exception on any rank aborts the communicator: every other
 ///    rank receives `CommAborted` at its next synchronization point and
 ///    `run_spmd` rethrows the original error.
 ///
 /// Only trivially copyable element types are supported (as with MPI datatypes).
 
-#include <barrier>
-#include <condition_variable>
 #include <cstddef>
 #include <cstring>
-#include <deque>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -47,8 +45,6 @@ class RecvTimeout : public std::runtime_error {
   explicit RecvTimeout(const std::string& what) : std::runtime_error(what) {}
 };
 
-enum class ReduceOp { kSum, kMin, kMax, kProd };
-
 namespace detail {
 struct State;
 }
@@ -63,38 +59,9 @@ class Comm {
   /// Synchronize all ranks. Throws CommAborted if a peer failed.
   void barrier();
 
-  /// Broadcast `data` (same count on every rank) from `root`.
-  template <typename T>
-  void bcast(std::span<T> data, int root);
-
-  /// All-reduce a single value.
-  template <typename T>
-  T allreduce(T local, ReduceOp op);
-
-  /// Element-wise all-reduce of equal-length vectors.
-  template <typename T>
-  void allreduce(std::span<const T> local, std::span<T> out, ReduceOp op);
-
-  /// Reduce to root; non-root ranks get T{}.
-  template <typename T>
-  T reduce(T local, ReduceOp op, int root);
-
-  /// Exclusive prefix sum: rank r receives sum of values on ranks < r
-  /// (rank 0 gets T{}). Matches MPI_Exscan with MPI_SUM.
-  template <typename T>
-  T exscan_sum(T local);
-
   /// Gather one value per rank to root (root gets size() values, others none).
   template <typename T>
   std::vector<T> gather(T local, int root);
-
-  /// Gather one value per rank to every rank.
-  template <typename T>
-  std::vector<T> allgather(T local);
-
-  /// Variable-length gather to root; concatenated in rank order at root.
-  template <typename T>
-  std::vector<T> gatherv(std::span<const T> local, int root);
 
   /// Blocking tagged send (buffered: returns once the message is enqueued).
   template <typename T>
@@ -113,8 +80,6 @@ class Comm {
   const void* get_slot(int rank) const;
   void send_bytes(const void* data, std::size_t bytes, int dest, int tag);
   std::vector<std::byte> recv_bytes(int src, int tag, double timeout_sec);
-  void stage_bytes(std::span<const std::byte> bytes);
-  std::span<const std::byte> staged_bytes(int rank) const;
 
   int rank_;
   int size_;
@@ -128,105 +93,6 @@ void run_spmd(int nranks, const std::function<void(Comm&)>& fn);
 // ---------------------------------------------------------------------------
 // template implementations
 
-namespace detail {
-/// Elementwise reduction combiner. kMin/kMax are NaN-propagating for
-/// floating-point types: `b < a` is false whenever either side is NaN, which
-/// would silently drop a NaN contribution (e.g. a corrupt bandwidth sample)
-/// depending on which rank it came from — instead any NaN input poisons the
-/// result, matching IEEE totalOrder-free MPI practice for error surfacing.
-template <typename T>
-T combine(T a, T b, ReduceOp op) {
-  if constexpr (std::is_floating_point_v<T>) {
-    if (op == ReduceOp::kMin || op == ReduceOp::kMax) {
-      if (a != a) return a;  // a is NaN
-      if (b != b) return b;  // b is NaN
-    }
-  }
-  switch (op) {
-    case ReduceOp::kSum: return a + b;
-    case ReduceOp::kMin: return b < a ? b : a;
-    case ReduceOp::kMax: return a < b ? b : a;
-    case ReduceOp::kProd: return a * b;
-  }
-  return a;
-}
-}  // namespace detail
-
-template <typename T>
-void Comm::bcast(std::span<T> data, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AMRIO_EXPECTS(root >= 0 && root < size_);
-  if (size_ == 1) return;
-  put_slot(data.data());
-  barrier();
-  if (rank_ != root) {
-    std::memcpy(data.data(), get_slot(root), data.size_bytes());
-  }
-  barrier();
-}
-
-template <typename T>
-T Comm::allreduce(T local, ReduceOp op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (size_ == 1) return local;
-  put_slot(&local);
-  barrier();
-  T acc = *static_cast<const T*>(get_slot(0));
-  for (int r = 1; r < size_; ++r)
-    acc = detail::combine(acc, *static_cast<const T*>(get_slot(r)), op);
-  barrier();
-  return acc;
-}
-
-template <typename T>
-void Comm::allreduce(std::span<const T> local, std::span<T> out, ReduceOp op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AMRIO_EXPECTS(local.size() == out.size());
-  if (size_ == 1) {
-    std::copy(local.begin(), local.end(), out.begin());
-    return;
-  }
-  put_slot(local.data());
-  barrier();
-  for (std::size_t i = 0; i < local.size(); ++i) {
-    T acc = static_cast<const T*>(get_slot(0))[i];
-    for (int r = 1; r < size_; ++r)
-      acc = detail::combine(acc, static_cast<const T*>(get_slot(r))[i], op);
-    out[i] = acc;
-  }
-  barrier();
-}
-
-template <typename T>
-T Comm::reduce(T local, ReduceOp op, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AMRIO_EXPECTS(root >= 0 && root < size_);
-  if (size_ == 1) return local;
-  put_slot(&local);
-  barrier();
-  T acc{};
-  if (rank_ == root) {
-    acc = *static_cast<const T*>(get_slot(0));
-    for (int r = 1; r < size_; ++r)
-      acc = detail::combine(acc, *static_cast<const T*>(get_slot(r)), op);
-  }
-  barrier();
-  return acc;
-}
-
-template <typename T>
-T Comm::exscan_sum(T local) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (size_ == 1) return T{};
-  put_slot(&local);
-  barrier();
-  T acc{};
-  for (int r = 0; r < rank_; ++r)
-    acc = acc + *static_cast<const T*>(get_slot(r));
-  barrier();
-  return acc;
-}
-
 template <typename T>
 std::vector<T> Comm::gather(T local, int root) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -239,42 +105,6 @@ std::vector<T> Comm::gather(T local, int root) {
     out.reserve(static_cast<std::size_t>(size_));
     for (int r = 0; r < size_; ++r)
       out.push_back(*static_cast<const T*>(get_slot(r)));
-  }
-  barrier();
-  return out;
-}
-
-template <typename T>
-std::vector<T> Comm::allgather(T local) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (size_ == 1) return {local};
-  put_slot(&local);
-  barrier();
-  std::vector<T> out;
-  out.reserve(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r)
-    out.push_back(*static_cast<const T*>(get_slot(r)));
-  barrier();
-  return out;
-}
-
-template <typename T>
-std::vector<T> Comm::gatherv(std::span<const T> local, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AMRIO_EXPECTS(root >= 0 && root < size_);
-  if (size_ == 1) return {local.begin(), local.end()};
-  stage_bytes(std::as_bytes(local));
-  barrier();
-  std::vector<T> out;
-  if (rank_ == root) {
-    for (int r = 0; r < size_; ++r) {
-      const auto bytes = staged_bytes(r);
-      AMRIO_ENSURES(bytes.size() % sizeof(T) == 0);
-      const std::size_t n = bytes.size() / sizeof(T);
-      const std::size_t old = out.size();
-      out.resize(old + n);
-      std::memcpy(out.data() + old, bytes.data(), bytes.size());
-    }
   }
   barrier();
   return out;

@@ -268,34 +268,38 @@ TEST(EventEngine, NestedRunIsAllowed) {
   outer.run([&](ex::RankCtx& octx) {
     if (octx.rank() == 2) {
       ex::EventEngine inner(8);
-      std::uint64_t last = 0;
+      std::uint64_t sum = 0;
       inner.run([&](ex::RankCtx& ictx) {
-        const auto prefix = ictx.exscan_sum(1);
-        if (ictx.rank() == 7) last = prefix;
+        const auto got =
+            ictx.gather(static_cast<std::uint64_t>(ictx.rank()), 7);
+        for (const std::uint64_t v : got) sum += v;  // root 7 only
       });
-      sums.push_back(last);  // rank 7's prefix = 7
+      sums.push_back(sum);  // 0 + 1 + ... + 7
     }
     octx.barrier();
   });
   ASSERT_EQ(sums.size(), 1u);
-  EXPECT_EQ(sums[0], 7u);
+  EXPECT_EQ(sums[0], 28u);
 }
 
 TEST(EventEngine, LargeRankSmoke) {
-  // O(active) scheduling at a six-figure rank count: spin-up, one exscan and
+  // O(active) scheduling at a six-figure rank count: spin-up, one gather and
   // one barrier across 131,072 virtual ranks. With per-rank stacks this
   // would be 16 GiB of fiber stacks; here it completes in well under a
   // second on anything.
   const int n = 131072;
   ex::EventEngine engine(n);
-  std::uint64_t last_prefix = 0;
+  std::vector<std::uint64_t> gathered;
   engine.run([&](ex::RankCtx& ctx) {
-    const auto prefix = ctx.exscan_sum(1);
-    EXPECT_EQ(prefix, static_cast<std::uint64_t>(ctx.rank()));
+    auto got = ctx.gather(static_cast<std::uint64_t>(ctx.rank()), n - 1);
+    EXPECT_EQ(got.empty(), ctx.rank() != n - 1);
     ctx.barrier();
-    if (ctx.rank() == n - 1) last_prefix = prefix;
+    if (ctx.rank() == n - 1) gathered = std::move(got);
   });
-  EXPECT_EQ(last_prefix, static_cast<std::uint64_t>(n - 1));
+  ASSERT_EQ(gathered.size(), static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r)
+    ASSERT_EQ(gathered[static_cast<std::size_t>(r)],
+              static_cast<std::uint64_t>(r));
 }
 
 TEST(EventEngine, RejectsOutOfRangeConfig) {

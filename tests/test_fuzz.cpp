@@ -303,9 +303,10 @@ TEST_P(ParserFuzz, CorruptedCodecContainerIsContained) {
     const auto codec = cd::make_codec(spec);
     std::vector<std::byte> raw(1 + rng.uniform_int(300));
     for (auto& b : raw) b = static_cast<std::byte>(rng.uniform_int(256));
-    const std::vector<std::byte> sealed = codec->encode(raw);
     const std::size_t header = codec->header_bytes();
-    ASSERT_EQ(sealed.size(), header + raw.size());
+    std::vector<std::byte> sealed(header);
+    sealed.insert(sealed.end(), raw.begin(), raw.end());
+    (void)codec->seal(sealed);
 
     auto check = [&](const std::vector<std::byte>& blob) {
       const std::string prefix = std::string("codec '") + name + "': ";
@@ -315,8 +316,7 @@ TEST_P(ParserFuzz, CorruptedCodecContainerIsContained) {
         // promises
         EXPECT_GE(body.data(), blob.data());
         EXPECT_EQ(body.data() + body.size(), blob.data() + blob.size());
-        (void)codec->peek(blob);
-        EXPECT_EQ(codec->decode(blob).size(), body.size());
+        EXPECT_EQ(codec->peek(blob).raw_bytes, body.size());
       } catch (const std::runtime_error& e) {
         EXPECT_TRUE(starts_with(e.what(), prefix.c_str())) << e.what();
         EXPECT_THROW((void)codec->peek(blob), std::runtime_error);

@@ -9,7 +9,11 @@
 /// restart shared one run plan and one per-group ship schedule) and must not
 /// move under a refactor of either: every value is derived from pure codec
 /// plans and the aggregation topology, so any drift is a behavior change.
-/// A failing pin prints the current value in the form its constant takes.
+/// The one deliberate change since: the direct-MIF case's `dump_makespan`
+/// and `makespan` cover every rank's encode (`submit + cpu`), as the
+/// ledger's conservation bound, busy_s <= capacity x makespan, requires;
+/// both cases check that bound for every resource. A failing pin prints the
+/// current value in the form its constant takes.
 
 #include <gtest/gtest.h>
 
@@ -74,6 +78,16 @@ double busy(const obs::UtilizationReport& rep, const std::string& name) {
   return 0.0;
 }
 
+/// The ledger's conservation bound: no resource pool is busy longer than
+/// its capacity times the makespan it reports against.
+void expect_conserved(const obs::UtilizationReport& rep, const char* what) {
+  for (const auto& r : rep.resources)
+    EXPECT_LE(r.busy_s, r.capacity * rep.makespan)
+        << what << ": " << r.name << " busy " << hexfloat(r.busy_s)
+        << " over capacity " << r.capacity << " x makespan "
+        << hexfloat(rep.makespan);
+}
+
 struct Pins {
   std::uint64_t trace = 0;
   std::uint64_t metrics = 0;
@@ -109,6 +123,8 @@ Pins run_pinned(const mc::Params& params) {
   const mc::RestartStats restart =
       mc::run_restart(engine, params, backend, &trace, probe);
   const obs::UtilizationReport rep = ledger.report();
+  expect_conserved(dump_rep, "dump epoch");
+  expect_conserved(rep, "dump + restart");
 
   std::ostringstream trace_json;
   obs::write_chrome_trace(trace_json, tracer.spans(), tracer.edges());
@@ -202,10 +218,10 @@ TEST(InstrumentationPins, DirectMifDumpAndRestart) {
                                    .events = 0xf4eadc8a8f232ef1ull,
                                    .dump_agg_link = 0x0p+0,
                                    .dump_codec_cpu = 0x1.7d2491be1155cp-7,
-                                   .dump_makespan = 0x0p+0,
+                                   .dump_makespan = 0x1.001fc24b77dbfp-2,
                                    .agg_link = 0x0p+0,
                                    .codec_cpu = 0x1.c95f154a7b33dp-7,
-                                   .makespan = 0x1.9683c5fe32001p-15,
+                                   .makespan = 0x1.002c7669a7cd8p-2,
                                    .scatter_seconds = 0x0p+0,
                                    .decode_gate = 0x1.9683c5fe32001p-15});
 }
